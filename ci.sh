@@ -22,8 +22,17 @@ cargo test -q
 echo "== tier-1 again, pool pinned sequential (RAYON_NUM_THREADS=1) =="
 RAYON_NUM_THREADS=1 cargo test -q
 
+# The root `cargo test` covers only the top-level package; the kernel
+# crate's own suites (bitwise GEMM oracle, scratch no-growth) run here.
+echo "== dcd-tensor unit and property suites =="
+cargo test -q -p dcd-tensor
+
 echo "== kernel equivalence under a pinned-sequential pool =="
 RAYON_NUM_THREADS=1 cargo test -q -p dcd-tensor --test parallel_equivalence
+
+# An odd pool size shares the GEMM's block grids unevenly between threads.
+echo "== kernel equivalence under an odd pool (RAYON_NUM_THREADS=3) =="
+RAYON_NUM_THREADS=3 cargo test -q -p dcd-tensor --test parallel_equivalence
 
 # The chaos scenarios must be bit-reproducible regardless of thread count:
 # the serving acceptance suite runs under the default pool and pinned

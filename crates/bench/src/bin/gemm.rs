@@ -3,12 +3,16 @@
 //! Compares the packed register-blocked kernel against the retained legacy
 //! axpy kernel (`gemm_legacy`) on the square 256³ problem and on the GEMMs
 //! behind conv1, conv2 and fc1 of the paper's architecture at batch 1, 8
-//! and 32. Convolution shapes run as repeated per-sample products sharing
-//! one packed weight ([`PackedLhs`]), exactly as `conv2d` executes them.
+//! and 32 — fc1 both for the original 5376→1024 config and for candidate
+//! 2's 7680→4096 layer (126 MB of weights), at the scan's batch of 32, its
+//! ragged last chunk of 9 and batch-1 queries. Convolution shapes run as
+//! repeated per-sample products sharing one packed weight ([`PackedLhs`]),
+//! exactly as `conv2d` executes them.
 //!
-//! All timings are taken under `rayon::force_sequential`, so the recorded
-//! speedups are single-thread kernel improvements, not parallelism; the
-//! `threads` field records the actual pool size for cross-referencing with
+//! `legacy_ms`, `packed_ms` and `speedup` are taken under
+//! `rayon::force_sequential`, so the speedups are single-thread kernel
+//! improvements, not parallelism. `packed_pool_ms` times the same packed
+//! call on the full pool (`threads` workers) for cross-referencing with
 //! `BENCH_parallel.json`.
 //!
 //! Usage: `cargo run --release -p dcd-bench --bin gemm`
@@ -29,13 +33,14 @@ struct KernelTiming {
     legacy_ms: f64,
     packed_ms: f64,
     speedup: f64,
+    packed_pool_ms: f64,
 }
 
 /// The recorded artifact.
 #[derive(Debug, Serialize)]
 struct Report {
-    /// Actual worker count of the (warmed) pool. Timings below are still
-    /// single-thread: every run executes under `force_sequential`.
+    /// Actual worker count of the (warmed) pool. Only `packed_pool_ms` uses
+    /// it; every other timing executes under `force_sequential`.
     threads: usize,
     mode: &'static str,
     kernels: Vec<KernelTiming>,
@@ -43,18 +48,21 @@ struct Report {
 
 const REPS: usize = 5;
 
+/// Best-of-REPS wall-clock of `f` on the pool, milliseconds.
+fn best_pool_ms(mut f: impl FnMut()) -> f64 {
+    f(); // warm-up (also warms the scratch pools)
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
 /// Best-of-REPS single-thread wall-clock of `f`, milliseconds.
-fn best_ms(mut f: impl FnMut()) -> f64 {
-    rayon::force_sequential(|| {
-        f(); // warm-up (also warms the scratch pool)
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    })
+fn best_ms(f: impl FnMut()) -> f64 {
+    rayon::force_sequential(|| best_pool_ms(f))
 }
 
 /// Times `batch` back-to-back `m×k·k×n` products, packed vs legacy.
@@ -78,7 +86,7 @@ fn time_shape(
         .collect();
     let mut c = vec![0.0f32; m * n];
 
-    let packed_ms = best_ms(|| {
+    let mut packed = || {
         if shared_lhs {
             // Pack the shared left operand once per call, as conv2d does.
             let pa = PackedLhs::pack(&a, Trans::No, m, k);
@@ -92,7 +100,9 @@ fn time_shape(
                 std::hint::black_box(&mut c);
             }
         }
-    });
+    };
+    let packed_ms = best_ms(&mut packed);
+    let packed_pool_ms = best_pool_ms(&mut packed);
     let legacy_ms = best_ms(|| {
         for b in &bs {
             std::hint::black_box(gemm_legacy(&a, b, m, k, n));
@@ -107,10 +117,11 @@ fn time_shape(
         legacy_ms,
         packed_ms,
         speedup: legacy_ms / packed_ms,
+        packed_pool_ms,
     };
     println!(
-        "{:18} m={:5} k={:5} n={:6} b={:2}   legacy {:9.2} ms   packed {:9.2} ms   speedup {:.2}x",
-        t.name, m, k, n, batch, t.legacy_ms, t.packed_ms, t.speedup
+        "{:18} m={:5} k={:5} n={:6} b={:2}   legacy {:9.2} ms   packed {:9.2} ms   speedup {:.2}x   pool {:9.2} ms",
+        t.name, m, k, n, batch, t.legacy_ms, t.packed_ms, t.speedup, t.packed_pool_ms
     );
     t
 }
@@ -123,7 +134,7 @@ fn main() {
     };
     std::hint::black_box(warm);
     let threads = rayon::current_num_threads();
-    println!("pool threads: {threads} (timings forced single-thread)");
+    println!("pool threads: {threads} (all but `pool` forced single-thread)");
 
     let mut kernels = Vec::new();
     // Square problem at the fc-layer scale (acceptance shape #1).
@@ -143,10 +154,22 @@ fn main() {
     for &b in &[1usize, 8, 32] {
         kernels.push(time_shape(&format!("fc1_b{b}"), b, 5_376, 1_024, 1, false));
     }
+    // fc1 of candidate 2 (the paper's pick): SPP features 256·30 = 7680 →
+    // 4096, at batch-1 queries, the scan's ragged last chunk and its batch.
+    for &b in &[1usize, 9, 32] {
+        kernels.push(time_shape(
+            &format!("fc1_c2_b{b}"),
+            b,
+            7_680,
+            4_096,
+            1,
+            false,
+        ));
+    }
 
     let report = Report {
         threads,
-        mode: "single_thread_forced",
+        mode: "single_thread_forced+pool",
         kernels,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -1,44 +1,57 @@
 //! Packed, register-blocked, rayon-parallel single-precision GEMM.
 //!
 //! This is the workhorse behind the fully-connected layers and the im2col
-//! convolution, organized BLIS-style:
+//! convolution. Every product runs one of three routines, chosen per call
+//! from its shape (see [`gemm_ep`]):
 //!
-//! * `A` is packed into row-panels of `MR` rows and `B` into column-panels
-//!   of `NR` columns (k-major inside each panel), once per call — not per
-//!   k-tile — into thread-local [`crate::scratch`] buffers, so the inner
-//!   loop reads both operands with unit stride and steady-state calls make
-//!   no heap allocations.
-//! * An `MR×NR` register tile (6×16 for full-size problems — 12 ymm
-//!   accumulators under AVX2, narrowed for skinny ones) accumulates over
-//!   the whole `k` extent with one `mul_add` per element and no
-//!   data-dependent branches; LLVM autovectorizes the `NR`-wide inner loop
-//!   to FMA lanes (the workspace builds with `target-cpu=native`, see
-//!   `.cargo/config.toml`).
-//! * The write-back applies a fused [`Epilogue`] — overwrite, accumulate,
-//!   or bias (+ optional ReLU), broadcast over rows or columns — so callers
-//!   like the fully-connected forward pass no longer make a second sweep
-//!   over `C`.
-//! * Transposed variants ([`gemm_at`], [`gemm_bt`]) pack straight from the
-//!   transposed layout, so backward passes never materialize `Aᵀ`/`Bᵀ`.
+//! * **Packed** — conv shapes and every product whose `B` fits in cache.
+//!   `A` is packed into row-panels of `MR` rows and `B` into column-panels
+//!   of `NR` columns (k-major inside each panel), once per call, into
+//!   thread-local [`crate::scratch`] buffers; each register tile then runs
+//!   over the whole `k` extent. Parallel tasks own disjoint `MC`-row
+//!   blocks of `C`.
+//! * **Blocked** — products whose `B` is DRAM-resident (`k·n ≥ BIG_RHS`,
+//!   e.g. the 7680×4096 fc1 weights) and that are not thin. `C` is cut
+//!   into a fixed 2-D grid of blocks of `MC_BLOCKED` rows × `NC` columns,
+//!   one rayon task each. A task walks `k` in `KC` slices; per slice it
+//!   packs only its `KC×NC` slab of `B` into an L2-resident scratch buffer
+//!   and sweeps its register tiles over it, so `B` crosses DRAM once per
+//!   row block (once per call for the batched FC shapes, `m ≤ MC_BLOCKED`)
+//!   rather than once per output row. Tasks accumulate into fixed-size
+//!   staging chunks (handed out by `par_chunks_mut`, so the crate stays
+//!   free of `unsafe`), and one pass after the join scatters them into `C`
+//!   through the epilogue.
+//! * **Thin** — skinny products (`m ≤ THIN_M` with a row-major `B` —
+//!   batch-1 inference) skip packing: packing `B` costs `k·n` writes, more
+//!   than the whole product is worth at `m = 1`. An axpy kernel runs
+//!   straight off the row-major `b`, in `k`-chunks sized in bytes to stay
+//!   in L2 while the rows consume them. A DRAM-resident `B` is split into
+//!   one contiguous column range per pool thread; a small one runs inline.
 //!
-//! Skinny products (`m` at most [`THIN_M`] — e.g. batch-1 inference
-//! through a fully-connected layer — or at most [`THIN_M_BIG_RHS`] when
-//! `B` is too large for L2) skip the packing entirely: packing `B` costs
-//! `k·n` writes, more than the whole product is worth at `m = 1`. They run
-//! a `k`-blocked axpy kernel straight off the row-major `b` instead.
+//! An `MR×NR` register tile (6×16 for full-size problems — 12 ymm
+//! accumulators under AVX2, narrowed for skinny ones) accumulates with one
+//! `mul_add` per element and no data-dependent branches; LLVM
+//! autovectorizes the `NR`-wide inner loop to FMA lanes (the workspace
+//! builds with `target-cpu=native`, see `.cargo/config.toml`). The
+//! write-back applies a fused [`Epilogue`] — overwrite, accumulate, or
+//! bias (+ optional ReLU), broadcast over rows or columns — so callers like
+//! the fully-connected forward pass make no second sweep over `C`.
+//! Transposed variants ([`gemm_at`], [`gemm_bt`]) pack straight from the
+//! transposed layout, so backward passes never materialize `Aᵀ`/`Bᵀ`.
 //!
-//! Parallelism splits `C` into disjoint `MC`-row blocks (each block is
-//! written by exactly one rayon task), and every output element is a single
-//! fused-multiply-add chain over `p = 0..k` in ascending order regardless
-//! of the tile shape, code path, or thread count — which is what keeps
-//! parallel runs bit-identical to sequential ones and the thin path
-//! bit-identical to the tiled one. (The retained [`gemm_legacy`] baseline
-//! uses separate mul+add, so it agrees with the packed kernel only to
-//! rounding, not to the bit.)
+//! Every output element is a single fused-multiply-add chain over
+//! `p = 0..k` in ascending order — carried across `KC` slices in f32 by the
+//! blocked path — regardless of the routine, the tile shape, the block
+//! grid, or the thread count. That is what keeps parallel runs
+//! bit-identical to sequential ones and the three routines bit-identical
+//! to each other. (The retained [`gemm_legacy`] baseline uses separate
+//! mul+add, so it agrees with the packed kernel only to rounding, not to
+//! the bit.)
 
 use crate::scratch;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Rows per A micro-panel at full size. 6 rows × 16 columns is 12 ymm
 /// accumulators — with the B row (2) and the A broadcast (1) that is 15 of
@@ -47,22 +60,55 @@ use rayon::prelude::*;
 const MR_MAX: usize = 6;
 /// Columns per B micro-panel at full size (two 8-lane vectors).
 const NR_MAX: usize = 16;
-/// Rows of `C` per parallel task (a multiple of every selectable `MR`).
+/// Rows of `C` per parallel task on the packed path (a multiple of every
+/// selectable `MR`).
 const MC: usize = 60;
-/// `m` at or below which the packing overhead cannot amortize and the thin
-/// axpy path runs instead.
+/// `m` at or below which packing an L2-resident `B` cannot amortize and
+/// the thin axpy path runs instead.
 const THIN_M: usize = 8;
-/// The thin path also wins up to this `m` when the right operand is too
-/// big for L2 — packing it then costs a full extra DRAM round trip.
-const THIN_M_BIG_RHS: usize = 32;
-/// `k·n` above which `B` is considered DRAM-resident (≥ 8 MB of f32).
+/// `k·n` at or above which `B` is considered DRAM-resident (≥ 8 MB of f32)
+/// and the blocked path takes over from the packed one.
 const BIG_RHS: usize = 1 << 21;
-/// `k`-chunk of the thin path: one chunk of `B` rows (≤ 1 MB) stays cached
-/// while every output row consumes it.
-const KC_THIN: usize = 256;
+/// Columns of `C` per blocked task (a multiple of every `NR`).
+const NC: usize = 512;
+/// `k`-slice of the blocked path: a `KC×NC` slab of packed `B` is 512 KB,
+/// so it stays in L2 while the block's register tiles sweep it.
+const KC: usize = 256;
+/// Rows of `C` per blocked task (a multiple of every `MR`). Fixes the size
+/// of a task's staging chunk at `MC_BLOCKED·NC` for every shape.
+const MC_BLOCKED: usize = 48;
+/// Bytes of `B` one thin task streams per `k`-chunk: small enough to stay
+/// in L2 while each of the task's `m` rows consumes the chunk.
+const THIN_CHUNK_BYTES: usize = 256 << 10;
 /// `m·n·k` below which the block loop runs inline (scheduling would
 /// dominate). The parallel and sequential paths run identical code.
 const PAR_WORK: usize = 1 << 16;
+
+/// Calls `$f::<MR, NR>(args…)` for the runtime tile shape `$tile`, so the
+/// micro-kernel is monomorphized per shape and dispatched once per call.
+macro_rules! dispatch_tile {
+    ($tile:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $tile {
+            (6, 16) => $f::<6, 16>($($arg),*),
+            (6, 8) => $f::<6, 8>($($arg),*),
+            (6, 4) => $f::<6, 4>($($arg),*),
+            (6, 1) => $f::<6, 1>($($arg),*),
+            (4, 16) => $f::<4, 16>($($arg),*),
+            (4, 8) => $f::<4, 8>($($arg),*),
+            (4, 4) => $f::<4, 4>($($arg),*),
+            (4, 1) => $f::<4, 1>($($arg),*),
+            (2, 16) => $f::<2, 16>($($arg),*),
+            (2, 8) => $f::<2, 8>($($arg),*),
+            (2, 4) => $f::<2, 4>($($arg),*),
+            (2, 1) => $f::<2, 1>($($arg),*),
+            (1, 16) => $f::<1, 16>($($arg),*),
+            (1, 8) => $f::<1, 8>($($arg),*),
+            (1, 4) => $f::<1, 4>($($arg),*),
+            (1, 1) => $f::<1, 1>($($arg),*),
+            (mr, nr) => unreachable!("unsupported tile {mr}x{nr}"),
+        }
+    };
+}
 
 /// Whether an operand is stored transposed.
 ///
@@ -97,6 +143,14 @@ pub enum Epilogue<'a> {
     BiasRowsRelu(&'a [f32]),
 }
 
+fn relu(y: f32) -> f32 {
+    if y > 0.0 {
+        y
+    } else {
+        0.0
+    }
+}
+
 impl Epilogue<'_> {
     fn check(&self, m: usize, n: usize) {
         match self {
@@ -107,6 +161,43 @@ impl Epilogue<'_> {
                 assert_eq!(b.len(), m, "row bias length {} != m {m}", b.len());
             }
             Epilogue::Store | Epilogue::Accumulate => {}
+        }
+    }
+
+    /// Writes finished accumulators `acc` into `crow`, the segment of row
+    /// `i` of `C` that starts at column `j0`.
+    #[inline(always)]
+    fn write_row(self, crow: &mut [f32], acc: &[f32], i: usize, j0: usize) {
+        let acc = &acc[..crow.len()];
+        match self {
+            Epilogue::Store => crow.copy_from_slice(acc),
+            Epilogue::Accumulate => {
+                for (c, &v) in crow.iter_mut().zip(acc) {
+                    *c += v;
+                }
+            }
+            Epilogue::BiasCols(bias) => {
+                for ((c, &v), &b) in crow.iter_mut().zip(acc).zip(&bias[j0..]) {
+                    *c = v + b;
+                }
+            }
+            Epilogue::BiasColsRelu(bias) => {
+                for ((c, &v), &b) in crow.iter_mut().zip(acc).zip(&bias[j0..]) {
+                    *c = relu(v + b);
+                }
+            }
+            Epilogue::BiasRows(bias) => {
+                let b = bias[i];
+                for (c, &v) in crow.iter_mut().zip(acc) {
+                    *c = v + b;
+                }
+            }
+            Epilogue::BiasRowsRelu(bias) => {
+                let b = bias[i];
+                for (c, &v) in crow.iter_mut().zip(acc) {
+                    *c = relu(v + b);
+                }
+            }
         }
     }
 }
@@ -137,6 +228,12 @@ fn select_nr(n: usize) -> usize {
     } else {
         1
     }
+}
+
+fn check_dims(a: usize, b: usize, c: usize, m: usize, k: usize, n: usize) {
+    assert_eq!(a, m * k, "A buffer is {a} but m*k = {}", m * k);
+    assert_eq!(b, k * n, "B buffer is {b} but k*n = {}", k * n);
+    assert_eq!(c, m * n, "C buffer is {c} but m*n = {}", m * n);
 }
 
 // ----------------------------------------------------------------- packing
@@ -176,34 +273,44 @@ fn pack_lhs(a: &[f32], ta: Trans, m: usize, k: usize, mr: usize, out: &mut [f32]
     }
 }
 
-/// Packs `op(B)` (`k×n` logical) into column-panels of `nr` columns,
-/// k-major within each panel: element `(p, jj)` of panel `pj` lands at
-/// `pj·nr·k + p·nr + jj`. `out` must be zeroed.
-fn pack_rhs(b: &[f32], tb: Trans, k: usize, n: usize, nr: usize, out: &mut [f32]) {
-    if k == 0 {
+/// Packs rows `ks` × columns `js` of `op(B)` (`k×n` logical) into
+/// column-panels of `nr` columns, k-major within each panel: element
+/// `(p, jj)` of panel `pj` lands at `pj·nr·kc + p·nr + jj`, with
+/// `kc = ks.len()` and `p`, `jj` relative to the block. The lanes past a
+/// ragged last panel are not written: zeroed by a fresh buffer, stale in a
+/// reused slab — either way they only feed accumulator lanes that are
+/// never written back.
+fn pack_rhs(
+    b: &[f32],
+    tb: Trans,
+    (k, n): (usize, usize),
+    ks: Range<usize>,
+    js: Range<usize>,
+    nr: usize,
+    out: &mut [f32],
+) {
+    let kc = ks.len();
+    if kc == 0 {
         return;
     }
     match tb {
         Trans::No => {
-            for (pj, panel) in out.chunks_mut(nr * k).enumerate() {
-                let j0 = pj * nr;
-                let cols = nr.min(n - j0);
-                for p in 0..k {
-                    let src = &b[p * n + j0..p * n + j0 + cols];
-                    panel[p * nr..p * nr + cols].copy_from_slice(src);
+            // Row-outer: each source row segment is read front to back, so
+            // a DRAM-resident `b` streams instead of striding by `n`.
+            for (p, src) in ks.map(|p| &b[p * n + js.start..p * n + js.end]).enumerate() {
+                for (pj, s) in src.chunks(nr).enumerate() {
+                    let dst = pj * nr * kc + p * nr;
+                    out[dst..dst + s.len()].copy_from_slice(s);
                 }
             }
         }
         Trans::Yes => {
-            // `b` stores Bᵀ: `op(B)[p][j] = b[j*k + p]`.
-            for (pj, panel) in out.chunks_mut(nr * k).enumerate() {
-                let j0 = pj * nr;
-                let cols = nr.min(n - j0);
-                for jj in 0..cols {
-                    let src = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                    for (p, &v) in src.iter().enumerate() {
-                        panel[p * nr + jj] = v;
-                    }
+            // `b` stores Bᵀ: `op(B)[p][j] = b[j*k + p]`, contiguous in `p`.
+            for (jj, j) in js.enumerate() {
+                let src = &b[j * k + ks.start..j * k + ks.end];
+                let panel = &mut out[jj / nr * nr * kc + jj % nr..];
+                for (p, &v) in src.iter().enumerate() {
+                    panel[p * nr] = v;
                 }
             }
         }
@@ -259,13 +366,34 @@ impl Drop for PackedLhs {
 
 // ------------------------------------------------------------ micro-kernel
 
-/// Computes one `MR×NR` register tile over the full `k` extent and writes
-/// it back through the epilogue, masking the ragged edge.
+/// Runs one `MR×NR` register tile over `kdim` packed `k`-steps, continuing
+/// the chains already in `acc`.
 ///
 /// Each accumulator is one `mul_add` chain over `a[i][p]·b[p][j]` for `p`
 /// ascending — one fused chain per output element, independent of tile
 /// shape and thread count, which is the invariant behind the
 /// bit-determinism guarantee.
+#[inline(always)]
+fn fma_tile<const MR: usize, const NR: usize>(
+    apanel: &[f32],
+    bpanel: &[f32],
+    kdim: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    for p in 0..kdim {
+        let ar = &apanel[p * MR..p * MR + MR];
+        let br = &bpanel[p * NR..p * NR + NR];
+        for i in 0..MR {
+            let ai = ar[i];
+            for j in 0..NR {
+                acc[i][j] = ai.mul_add(br[j], acc[i][j]);
+            }
+        }
+    }
+}
+
+/// Computes one `MR×NR` register tile over the full `k` extent and writes
+/// it back through the epilogue, masking the ragged edge.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn micro_tile<const MR: usize, const NR: usize>(
@@ -282,54 +410,10 @@ fn micro_tile<const MR: usize, const NR: usize>(
     ep: Epilogue<'_>,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kdim {
-        let ar = &apanel[p * MR..p * MR + MR];
-        let br = &bpanel[p * NR..p * NR + NR];
-        for i in 0..MR {
-            let ai = ar[i];
-            for j in 0..NR {
-                acc[i][j] = ai.mul_add(br[j], acc[i][j]);
-            }
-        }
-    }
+    fma_tile(apanel, bpanel, kdim, &mut acc);
     for (i, acc_row) in acc.iter().enumerate().take(m_rem) {
         let crow = &mut c_rows[(row0 + i) * n + j0..(row0 + i) * n + j0 + n_rem];
-        match ep {
-            Epilogue::Store => {
-                crow.copy_from_slice(&acc_row[..n_rem]);
-            }
-            Epilogue::Accumulate => {
-                for (c, &v) in crow.iter_mut().zip(acc_row.iter()) {
-                    *c += v;
-                }
-            }
-            Epilogue::BiasCols(bias) => {
-                let brow = &bias[j0..j0 + n_rem];
-                for ((c, &v), &b) in crow.iter_mut().zip(acc_row.iter()).zip(brow.iter()) {
-                    *c = v + b;
-                }
-            }
-            Epilogue::BiasColsRelu(bias) => {
-                let brow = &bias[j0..j0 + n_rem];
-                for ((c, &v), &b) in crow.iter_mut().zip(acc_row.iter()).zip(brow.iter()) {
-                    let y = v + b;
-                    *c = if y > 0.0 { y } else { 0.0 };
-                }
-            }
-            Epilogue::BiasRows(bias) => {
-                let b = bias[gi + i];
-                for (c, &v) in crow.iter_mut().zip(acc_row.iter()) {
-                    *c = v + b;
-                }
-            }
-            Epilogue::BiasRowsRelu(bias) => {
-                let b = bias[gi + i];
-                for (c, &v) in crow.iter_mut().zip(acc_row.iter()) {
-                    let y = v + b;
-                    *c = if y > 0.0 { y } else { 0.0 };
-                }
-            }
-        }
+        ep.write_row(crow, acc_row, gi + i, j0);
     }
 }
 
@@ -368,103 +452,212 @@ fn block<const MR: usize, const NR: usize>(
     }
 }
 
-/// [`block`] with the tile shape resolved at runtime.
-#[allow(clippy::too_many_arguments)]
-fn block_dyn(
-    (mr, nr): (usize, usize),
-    apack: &[f32],
-    bpack: &[f32],
-    c_rows: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    n: usize,
-    ep: Epilogue<'_>,
-) {
-    match (mr, nr) {
-        (6, 16) => block::<6, 16>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (6, 8) => block::<6, 8>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (6, 4) => block::<6, 4>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (6, 1) => block::<6, 1>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (4, 16) => block::<4, 16>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (4, 8) => block::<4, 8>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (4, 4) => block::<4, 4>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (4, 1) => block::<4, 1>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (2, 16) => block::<2, 16>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (2, 8) => block::<2, 8>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (2, 4) => block::<2, 4>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (2, 1) => block::<2, 1>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (1, 16) => block::<1, 16>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (1, 8) => block::<1, 8>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (1, 4) => block::<1, 4>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (1, 1) => block::<1, 1>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        _ => unreachable!("unsupported tile {mr}x{nr}"),
-    }
-}
-
 /// `C[m×n] = op(A)·B'` against a pre-packed left operand, `B'` packed here
 /// from `b` (transposed when `tb` says so), with a fused epilogue.
 pub fn gemm_packed(pa: &PackedLhs, b: &[f32], tb: Trans, c: &mut [f32], n: usize, ep: Epilogue) {
     let (m, k) = (pa.m, pa.k);
-    assert_eq!(
-        b.len(),
-        k * n,
-        "B buffer is {} but k*n = {}",
-        b.len(),
-        k * n
-    );
-    assert_eq!(
-        c.len(),
-        m * n,
-        "C buffer is {} but m*n = {}",
-        c.len(),
-        m * n
-    );
+    check_dims(m * k, b.len(), c.len(), m, k, n);
     ep.check(m, n);
     if m == 0 || n == 0 {
         return;
     }
     let nr = select_nr(n);
     let mut bpack = scratch::take(n.div_ceil(nr) * nr * k);
-    pack_rhs(b, tb, k, n, nr, &mut bpack);
+    pack_rhs(b, tb, (k, n), 0..k, 0..n, nr, &mut bpack);
     let tile = (pa.mr, nr);
+    let apack = &pa.buf;
+    let run = |(blk, c_blk): (usize, &mut [f32])| {
+        let (i0, i1) = (blk * MC, (blk * MC + MC).min(m));
+        dispatch_tile!(tile, block(apack, &bpack, c_blk, i0, i1, k, n, ep));
+    };
     if m * n * k < PAR_WORK {
-        for blk in 0..m.div_ceil(MC) {
-            let (i0, i1) = (blk * MC, (blk * MC + MC).min(m));
-            block_dyn(
-                tile,
-                &pa.buf,
-                &bpack,
-                &mut c[i0 * n..i1 * n],
-                i0,
-                i1,
-                k,
-                n,
-                ep,
-            );
-        }
+        c.chunks_mut(MC * n).enumerate().for_each(run);
     } else {
-        let (apack, bpack_ref) = (&pa.buf, &bpack);
-        c.par_chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(blk, c_blk)| {
-                let (i0, i1) = (blk * MC, (blk * MC + MC).min(m));
-                block_dyn(tile, apack, bpack_ref, c_blk, i0, i1, k, n, ep);
-            });
+        c.par_chunks_mut(MC * n).enumerate().for_each(run);
     }
     scratch::release(bpack);
 }
 
-/// Row-at-a-time axpy kernel for skinny products.
+// ------------------------------------------------- blocked and thin paths
+
+/// How the blocked and thin paths cut `C` into tasks: row-block-major
+/// blocks of at most `mc` rows × `nc` columns. Task `t` accumulates into
+/// chunk `t` of a staging buffer, `chunk` floats each, rows at stride `nc`.
+struct Grid {
+    m: usize,
+    n: usize,
+    mc: usize,
+    nc: usize,
+    col_blocks: usize,
+    blocks: usize,
+    chunk: usize,
+}
+
+impl Grid {
+    /// Blocked-path grid: a fixed cut into row blocks of `MC_BLOCKED` rows
+    /// (a multiple of every `MR`) × column blocks of `NC` columns, so the
+    /// staging chunks have the fixed size `MC_BLOCKED·NC`.
+    fn blocked(m: usize, n: usize) -> Grid {
+        let col_blocks = n.div_ceil(NC);
+        Grid {
+            m,
+            n,
+            mc: MC_BLOCKED,
+            nc: NC,
+            col_blocks,
+            blocks: m.div_ceil(MC_BLOCKED) * col_blocks,
+            chunk: MC_BLOCKED * NC,
+        }
+    }
+
+    /// Thin-path grid: one row block. A DRAM-resident `B` gets one column
+    /// range per pool thread — the path is bound by streaming `B`, and the
+    /// longest contiguous runs per task stream best; a cache-resident `B`
+    /// runs as a single block on the calling thread. (The split never
+    /// changes a result: each element's chain is the same in any block.)
+    fn thin(m: usize, n: usize, big_rhs: bool) -> Grid {
+        let nc = if big_rhs {
+            n.div_ceil(rayon::current_num_threads())
+                .next_multiple_of(NR_MAX)
+        } else {
+            n
+        };
+        let col_blocks = n.div_ceil(nc);
+        Grid {
+            m,
+            n,
+            mc: m,
+            nc,
+            col_blocks,
+            blocks: col_blocks,
+            chunk: m * nc,
+        }
+    }
+
+    /// Rows and columns of `C` owned by task `t`.
+    fn block(&self, t: usize) -> (Range<usize>, Range<usize>) {
+        let (i0, j0) = (t / self.col_blocks * self.mc, t % self.col_blocks * self.nc);
+        (
+            i0..(i0 + self.mc).min(self.m),
+            j0..(j0 + self.nc).min(self.n),
+        )
+    }
+
+    /// Runs `task(t, chunk)` for every block over a fresh zeroed staging
+    /// buffer — on the pool when there are several blocks and the product
+    /// is big enough — then applies the epilogue while scattering the
+    /// chunks into `c`.
+    fn run(
+        &self,
+        work: usize,
+        c: &mut [f32],
+        ep: Epilogue<'_>,
+        task: impl Fn(usize, &mut [f32]) + Sync,
+    ) {
+        let mut stage = scratch::take(self.blocks * self.chunk);
+        let run = |(t, chunk): (usize, &mut [f32])| task(t, chunk);
+        if self.blocks == 1 || work < PAR_WORK {
+            stage.chunks_mut(self.chunk).enumerate().for_each(run);
+        } else {
+            stage.par_chunks_mut(self.chunk).enumerate().for_each(run);
+        }
+        for (t, chunk) in stage.chunks(self.chunk).enumerate() {
+            let (rows, cols) = self.block(t);
+            for (i, acc) in rows.zip(chunk.chunks(self.nc)) {
+                ep.write_row(
+                    &mut c[i * self.n + cols.start..i * self.n + cols.end],
+                    acc,
+                    i,
+                    cols.start,
+                );
+            }
+        }
+        scratch::release(stage);
+    }
+}
+
+/// Sweeps one packed `KC×NC` slab of `B` through every register tile of a
+/// blocked task's `width` columns, continuing each tile's chains from the
+/// staging chunk `acc` (rows at stride `ld`) and storing them back.
+#[allow(clippy::too_many_arguments)]
+fn slab_tiles<const MR: usize, const NR: usize>(
+    apack: &[f32],
+    slab: &[f32],
+    k: usize,
+    ks: Range<usize>,
+    rows: Range<usize>,
+    width: usize,
+    ld: usize,
+    acc: &mut [f32],
+) {
+    let kc = ks.len();
+    for jp in (0..width).step_by(NR) {
+        let bpanel = &slab[jp * kc..(jp + NR) * kc];
+        for ip in rows.clone().step_by(MR) {
+            // Panel `ip / MR` starts at `ip·k`; its `ks` slice is contiguous.
+            let apanel = &apack[ip * k + ks.start * MR..ip * k + ks.end * MR];
+            let out = &mut acc[(ip - rows.start) * ld + jp..];
+            let mut tile = [[0.0f32; NR]; MR];
+            for (i, t) in tile.iter_mut().enumerate() {
+                t.copy_from_slice(&out[i * ld..i * ld + NR]);
+            }
+            fma_tile(apanel, bpanel, kc, &mut tile);
+            for (i, t) in tile.iter().enumerate() {
+                out[i * ld..i * ld + NR].copy_from_slice(t);
+            }
+        }
+    }
+}
+
+/// Cache-blocked GEMM for a DRAM-resident `B` (see the module docs).
+#[allow(clippy::too_many_arguments)]
+fn gemm_blocked(
+    a: &[f32],
+    ta: Trans,
+    b: &[f32],
+    tb: Trans,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    ep: Epilogue<'_>,
+) {
+    let pa = PackedLhs::pack(a, ta, m, k);
+    let tile = (pa.mr, select_nr(n));
+    let grid = Grid::blocked(m, n);
+    grid.run(m * k * n, c, ep, |t, acc| {
+        let (rows, cols) = grid.block(t);
+        let mut slab = scratch::take(KC * NC);
+        for p0 in (0..k).step_by(KC) {
+            let ks = p0..(p0 + KC).min(k);
+            pack_rhs(b, tb, (k, n), ks.clone(), cols.clone(), tile.1, &mut slab);
+            dispatch_tile!(
+                tile,
+                slab_tiles(
+                    &pa.buf,
+                    &slab,
+                    k,
+                    ks,
+                    rows.clone(),
+                    cols.len(),
+                    grid.nc,
+                    acc
+                )
+            );
+        }
+        scratch::release(slab);
+    });
+}
+
+/// Column-parallel axpy kernel for skinny products.
 ///
 /// Packing `B` costs `k·n` writes; at `m = 1` (batch-1 inference through a
 /// fully-connected layer) that is more memory traffic than the entire
-/// product. This path reads the row-major `b` directly in `KC_THIN`-row
-/// chunks — each chunk stays cached while all `m` accumulator rows consume
-/// it — and applies the same fused epilogue. Every output element is still
-/// a single `mul_add` chain with `p` ascending, so the thin and tiled
-/// paths agree to the bit. Runs inline — thin problems are too small for
-/// task scheduling to pay off.
+/// product. Each task owns a column range (all of them when `B` is
+/// small) and reads the row-major `b` directly in `k`-chunks of `THIN_CHUNK_BYTES` — each chunk stays in
+/// L2 while all `m` accumulator rows consume it. Every output element is
+/// still a single `mul_add` chain with `p` ascending, so the thin and
+/// tiled paths agree to the bit.
 #[allow(clippy::too_many_arguments)]
 fn gemm_thin(
     a: &[f32],
@@ -474,66 +667,39 @@ fn gemm_thin(
     m: usize,
     k: usize,
     n: usize,
+    big_rhs: bool,
     ep: Epilogue<'_>,
 ) {
-    let mut accs = scratch::take(m * n);
-    for kb in (0..k).step_by(KC_THIN) {
-        let kend = (kb + KC_THIN).min(k);
-        for i in 0..m {
-            let acc = &mut accs[i * n..(i + 1) * n];
-            for p in kb..kend {
-                let ai = match ta {
-                    Trans::No => a[i * k + p],
-                    Trans::Yes => a[p * m + i],
-                };
-                let brow = &b[p * n..(p + 1) * n];
-                for (av, &bv) in acc.iter_mut().zip(brow.iter()) {
-                    *av = ai.mul_add(bv, *av);
+    let grid = Grid::thin(m, n, big_rhs);
+    let kc = (THIN_CHUNK_BYTES / (grid.nc * std::mem::size_of::<f32>())).max(1);
+    grid.run(m * k * n, c, ep, |t, acc| {
+        let (_, cols) = grid.block(t);
+        for kb in (0..k).step_by(kc) {
+            for (i, acc_row) in acc.chunks_mut(grid.nc).enumerate() {
+                let acc_row = &mut acc_row[..cols.len()];
+                for p in kb..(kb + kc).min(k) {
+                    let ai = match ta {
+                        Trans::No => a[i * k + p],
+                        Trans::Yes => a[p * m + i],
+                    };
+                    let brow = &b[p * n + cols.start..p * n + cols.end];
+                    for (av, &bv) in acc_row.iter_mut().zip(brow) {
+                        *av = ai.mul_add(bv, *av);
+                    }
                 }
             }
         }
-    }
-    for (i, acc) in accs.chunks(n.max(1)).enumerate().take(m) {
-        let crow = &mut c[i * n..(i + 1) * n];
-        match ep {
-            Epilogue::Store => crow.copy_from_slice(acc),
-            Epilogue::Accumulate => {
-                for (cv, &v) in crow.iter_mut().zip(acc.iter()) {
-                    *cv += v;
-                }
-            }
-            Epilogue::BiasCols(bias) => {
-                for ((cv, &v), &bj) in crow.iter_mut().zip(acc.iter()).zip(bias.iter()) {
-                    *cv = v + bj;
-                }
-            }
-            Epilogue::BiasColsRelu(bias) => {
-                for ((cv, &v), &bj) in crow.iter_mut().zip(acc.iter()).zip(bias.iter()) {
-                    let y = v + bj;
-                    *cv = if y > 0.0 { y } else { 0.0 };
-                }
-            }
-            Epilogue::BiasRows(bias) => {
-                let bi = bias[i];
-                for (cv, &v) in crow.iter_mut().zip(acc.iter()) {
-                    *cv = v + bi;
-                }
-            }
-            Epilogue::BiasRowsRelu(bias) => {
-                let bi = bias[i];
-                for (cv, &v) in crow.iter_mut().zip(acc.iter()) {
-                    let y = v + bi;
-                    *cv = if y > 0.0 { y } else { 0.0 };
-                }
-            }
-        }
-    }
-    scratch::release(accs);
+    });
 }
 
-/// General packed GEMM: `C[m×n] ←(ep) op(A)·op(B)` where `a` stores `A`
-/// (`m×k`, or `k×m` when `ta` = [`Trans::Yes`]) and `b` stores `B` (`k×n`,
-/// or `n×k` when `tb` = [`Trans::Yes`]).
+/// General GEMM: `C[m×n] ←(ep) op(A)·op(B)` where `a` stores `A` (`m×k`,
+/// or `k×m` when `ta` = [`Trans::Yes`]) and `b` stores `B` (`k×n`, or
+/// `n×k` when `tb` = [`Trans::Yes`]).
+///
+/// Routes the call by shape: skinny products with a row-major `B` take the
+/// thin path; otherwise a DRAM-resident `B` (`k·n ≥ BIG_RHS`) takes the
+/// cache-blocked path and everything else the packed path.
+/// All three give bit-identical results.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_ep(
     a: &[f32],
@@ -548,35 +714,20 @@ pub fn gemm_ep(
 ) {
     let _span = dcd_obs::span("gemm", dcd_obs::Category::Gemm);
     dcd_obs::counter!("gemm.flops").add(2 * (m * k * n) as u64);
-    let thin = m <= THIN_M || (m <= THIN_M_BIG_RHS && k * n >= BIG_RHS);
-    if thin && tb == Trans::No {
-        assert_eq!(
-            a.len(),
-            m * k,
-            "A buffer is {} but m*k = {}",
-            a.len(),
-            m * k
-        );
-        assert_eq!(
-            b.len(),
-            k * n,
-            "B buffer is {} but k*n = {}",
-            b.len(),
-            k * n
-        );
-        assert_eq!(
-            c.len(),
-            m * n,
-            "C buffer is {} but m*n = {}",
-            c.len(),
-            m * n
-        );
-        ep.check(m, n);
-        gemm_thin(a, ta, b, c, m, k, n, ep);
+    check_dims(a.len(), b.len(), c.len(), m, k, n);
+    ep.check(m, n);
+    if m == 0 || n == 0 {
         return;
     }
-    let pa = PackedLhs::pack(a, ta, m, k);
-    gemm_packed(&pa, b, tb, c, n, ep);
+    let big_rhs = k * n >= BIG_RHS;
+    if m <= THIN_M && tb == Trans::No {
+        gemm_thin(a, ta, b, c, m, k, n, big_rhs, ep);
+    } else if big_rhs {
+        gemm_blocked(a, ta, b, tb, c, m, k, n, ep);
+    } else {
+        let pa = PackedLhs::pack(a, ta, m, k);
+        gemm_packed(&pa, b, tb, c, n, ep);
+    }
 }
 
 // ---------------------------------------------------------- entry points
@@ -846,6 +997,34 @@ mod tests {
             gemm_packed(&pa, &b, Trans::No, &mut tiled, n, Epilogue::Store);
             for (i, (t, g)) in thin.iter().zip(tiled.iter()).enumerate() {
                 assert_eq!(t.to_bits(), g.to_bits(), "element {i}: {t} vs {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn grids_tile_c_exactly_once() {
+        // Ragged row/column edges on both grids, and the thin grid's single
+        // inline block for a cache-resident B.
+        for &(m, n) in &[(1, 1), (9, 4096), (33, 4100), (1440, 512), (5, 3500)] {
+            for g in [
+                Grid::blocked(m, n),
+                Grid::thin(m, n, true),
+                Grid::thin(m, n, false),
+            ] {
+                assert!(g.chunk >= g.mc.min(m) * g.nc, "{m}x{n}: chunk too small");
+                let mut owners = vec![0u8; m * n];
+                for t in 0..g.blocks {
+                    let (rows, cols) = g.block(t);
+                    for i in rows {
+                        for j in cols.clone() {
+                            owners[i * n + j] += 1;
+                        }
+                    }
+                }
+                assert!(
+                    owners.iter().all(|&o| o == 1),
+                    "{m}x{n}: blocks overlap or leave gaps"
+                );
             }
         }
     }

@@ -36,6 +36,13 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`GROW_EVENTS`]: unit tests run on parallel
+    /// harness threads, so they assert on their own thread's growth.
+    static THREAD_GROWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Checks out a zeroed buffer of exactly `len` elements.
 ///
 /// Pair with [`release`]; a buffer that is never released is just a normal
@@ -75,6 +82,8 @@ pub fn take(len: usize) -> Vec<f32> {
     });
     if buf.capacity() < len {
         GROW_EVENTS.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_GROWS.with(|g| g.set(g.get() + 1));
     }
     buf.clear();
     buf.resize(len, 0.0);
@@ -101,6 +110,10 @@ pub fn grow_events() -> u64 {
 mod tests {
     use super::*;
 
+    fn thread_grows() -> u64 {
+        THREAD_GROWS.with(|g| g.get())
+    }
+
     #[test]
     fn take_returns_zeroed_buffer_of_len() {
         let mut b = take(17);
@@ -121,14 +134,14 @@ mod tests {
         let (a, b) = (take(1000), take(50));
         release(a);
         release(b);
-        let before = grow_events();
+        let before = thread_grows();
         for _ in 0..100 {
             let a = take(1000);
             let b = take(50);
             release(b);
             release(a);
         }
-        assert_eq!(grow_events(), before, "steady-state take/release grew");
+        assert_eq!(thread_grows(), before, "steady-state take/release grew");
     }
 
     #[test]
@@ -148,10 +161,10 @@ mod tests {
 
     #[test]
     fn zero_len_take_is_free() {
-        let before = grow_events();
+        let before = thread_grows();
         let b = take(0);
         assert!(b.is_empty());
         release(b);
-        assert_eq!(grow_events(), before);
+        assert_eq!(thread_grows(), before);
     }
 }

@@ -98,6 +98,26 @@ fn gemm_bias_relu_parallel_matches_sequential_bitwise() {
 }
 
 #[test]
+fn fc_scale_gemm_parallel_matches_sequential_bitwise() {
+    pin_threads();
+    // k·n = 2.1M ≥ 2^21 puts B in DRAM-resident territory: m = 1 takes the
+    // column-parallel thin path (one range per thread, the last one
+    // ragged), m = 9 and 32 the cache-blocked grid, whose 7 column blocks
+    // of 512 (the last ragged) neither 3 nor 4 threads can share evenly.
+    let (k, n) = (600, 3500);
+    let mut rng = SeededRng::new(67);
+    let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
+    let bias = Tensor::randn([n], 0.0, 0.5, &mut rng);
+    for m in [1, 9, 32] {
+        let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
+        let par = gemm_bias_relu(a.data(), b.data(), bias.data(), m, k, n);
+        let seq =
+            rayon::force_sequential(|| gemm_bias_relu(a.data(), b.data(), bias.data(), m, k, n));
+        assert_bits_eq(&par, &seq, &format!("fc gemm_bias_relu m={m}"));
+    }
+}
+
+#[test]
 fn conv2d_forward_parallel_matches_sequential_bitwise() {
     pin_threads();
     // Batch > 1 so the per-sample par_chunks split actually splits.

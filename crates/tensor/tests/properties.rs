@@ -2,7 +2,7 @@
 
 use dcd_tensor::{
     adaptive_avg_pool2d, adaptive_max_pool2d, conv2d, conv2d_backward, gemm, gemm_at, gemm_bias,
-    gemm_bias_relu, gemm_bt, max_pool2d, SeededRng, Tensor,
+    gemm_bias_relu, gemm_bt, gemm_ep, max_pool2d, Epilogue, SeededRng, Tensor, Trans,
 };
 use proptest::prelude::*;
 
@@ -17,6 +17,130 @@ fn gemm_ref(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         }
     }
     c.into_iter().map(|x| x as f32).collect()
+}
+
+/// Single-chain oracle: every element is one `mul_add` chain over `p`
+/// ascending, starting from `+0.0` — the arithmetic every GEMM routine
+/// (thin, packed, blocked) promises, so results must agree bit for bit.
+fn gemm_chain(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc = a[i * k + p].mul_add(b[p * n + j], acc);
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+/// Applies `ep` to the oracle's raw products `raw`; `c0` is the prior
+/// contents of `C` (read by `Accumulate`).
+fn epilogue_ref(ep: Epilogue, raw: &[f32], c0: &[f32], n: usize) -> Vec<f32> {
+    let relu = |y: f32| if y > 0.0 { y } else { 0.0 };
+    (0..raw.len())
+        .map(|e| {
+            let (i, j, v) = (e / n, e % n, raw[e]);
+            match ep {
+                Epilogue::Store => v,
+                Epilogue::Accumulate => c0[e] + v,
+                Epilogue::BiasCols(b) => v + b[j],
+                Epilogue::BiasColsRelu(b) => relu(v + b[j]),
+                Epilogue::BiasRows(b) => v + b[i],
+                Epilogue::BiasRowsRelu(b) => relu(v + b[i]),
+            }
+        })
+        .collect()
+}
+
+/// `rows×cols` row-major → its `cols×rows` transpose.
+fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; x.len()];
+    for r in 0..rows {
+        for c in 0..cols {
+            t[c * rows + r] = x[r * cols + c];
+        }
+    }
+    t
+}
+
+fn randn(len: usize, rng: &mut SeededRng) -> Vec<f32> {
+    (0..len).map(|_| rng.normal()).collect()
+}
+
+fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (e, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {e}: {g} vs {w}");
+    }
+}
+
+/// `k` straddles the blocked path's `KC = 256` slices (`2·KC + 5`).
+const K_BLOCKED: usize = 2 * 256 + 5;
+/// Straddles the `NC = 512` column blocks (8 full + 4) and the `NR = 16`
+/// panels; with `K_BLOCKED`, `k·n ≥ 2^21`, so `B` counts as DRAM-resident
+/// and `m` alone picks the thin (`m ≤ 8`) or the blocked path.
+const N_BLOCKED: usize = 4100;
+/// Straddles the thin/blocked crossover (8/9) and the `MR = 6` panels.
+const M_CROSSOVER: [usize; 8] = [1, 3, 5, 6, 8, 9, 32, 33];
+
+#[test]
+fn transposed_variants_match_chain_oracle_bitwise() {
+    let (k, n) = (K_BLOCKED, N_BLOCKED);
+    let mut rng = SeededRng::new(0xB10C);
+    let b = randn(k * n, &mut rng);
+    let bt = transpose(&b, k, n);
+    for m in M_CROSSOVER {
+        let a = randn(m * k, &mut rng);
+        let at = transpose(&a, m, k);
+        let want = gemm_chain(&a, &b, m, k, n);
+        assert_bits(&gemm(&a, &b, m, k, n), &want, &format!("gemm m={m}"));
+        assert_bits(&gemm_at(&at, &b, m, k, n), &want, &format!("gemm_at m={m}"));
+        assert_bits(&gemm_bt(&a, &bt, m, k, n), &want, &format!("gemm_bt m={m}"));
+        let mut c = vec![0.0f32; m * n];
+        gemm_ep(
+            &at,
+            Trans::Yes,
+            &bt,
+            Trans::Yes,
+            &mut c,
+            m,
+            k,
+            n,
+            Epilogue::Store,
+        );
+        assert_bits(&c, &want, &format!("gemm_ep Aᵀ·Bᵀ m={m}"));
+    }
+}
+
+#[test]
+fn every_epilogue_matches_chain_oracle_bitwise() {
+    // One thin and one blocked shape against a DRAM-sized B, plus the thin
+    // and packed paths against a small B.
+    let k = K_BLOCKED;
+    let mut rng = SeededRng::new(0xE9);
+    for (m, n) in [(3, N_BLOCKED), (9, N_BLOCKED), (3, 100), (33, 100)] {
+        let a = randn(m * k, &mut rng);
+        let b = randn(k * n, &mut rng);
+        let c0 = randn(m * n, &mut rng);
+        let (col_bias, row_bias) = (randn(n, &mut rng), randn(m, &mut rng));
+        let raw = gemm_chain(&a, &b, m, k, n);
+        for (name, ep) in [
+            ("Store", Epilogue::Store),
+            ("Accumulate", Epilogue::Accumulate),
+            ("BiasCols", Epilogue::BiasCols(&col_bias)),
+            ("BiasColsRelu", Epilogue::BiasColsRelu(&col_bias)),
+            ("BiasRows", Epilogue::BiasRows(&row_bias)),
+            ("BiasRowsRelu", Epilogue::BiasRowsRelu(&row_bias)),
+        ] {
+            let mut c = c0.clone();
+            gemm_ep(&a, Trans::No, &b, Trans::No, &mut c, m, k, n, ep);
+            let want = epilogue_ref(ep, &raw, &c0, n);
+            assert_bits(&c, &want, &format!("{name} m={m} n={n}"));
+        }
+    }
 }
 
 fn small_f32() -> impl Strategy<Value = f32> {

@@ -1,14 +1,15 @@
 //! Steady-state allocation behaviour of the scratch arena.
 //!
 //! After a warm-up call, repeated conv2d forward/backward passes at a fixed
-//! shape must run entirely out of the thread-local scratch pool: the global
+//! shape — and fully-connected products at the batch sizes a scan issues —
+//! must run entirely out of the thread-local scratch pool: the global
 //! grow-event counter must not move. Run single-threaded so every
 //! `scratch::take` hits the same thread-local pool that the warm-up filled —
 //! under the work-stealing pool the sample loop may land on a worker with a
 //! cold pool, which is fine in production (each worker warms once) but would
 //! make the counter nondeterministic here.
 
-use dcd_tensor::{conv2d, conv2d_backward, scratch, SeededRng, Tensor};
+use dcd_tensor::{conv2d, conv2d_backward, gemm_bias_relu, scratch, SeededRng, Tensor};
 use std::sync::Mutex;
 
 /// `grow_events` is process-global while pools are thread-local; serialize
@@ -78,6 +79,40 @@ fn mixed_shapes_settle_after_one_round() {
             scratch::grow_events(),
             before,
             "alternating shapes should reuse pooled buffers"
+        );
+    });
+}
+
+#[test]
+fn fc_steady_state_does_not_grow_scratch() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    rayon::force_sequential(|| {
+        // A DRAM-sized B (k·n ≥ 2^21): m = 32 and 9 take the blocked path,
+        // m = 1 the thin one. One warm-up call at the full batch must cover
+        // every later call — the scan's ragged last chunk and batch-1
+        // queries included — because the per-task slab and staging chunks
+        // come in fixed size classes that do not depend on the shape.
+        let (k, n) = (600, 3500);
+        let mut rng = SeededRng::new(79);
+        let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
+        let bias = Tensor::randn([n], 0.0, 0.5, &mut rng);
+        let inputs: Vec<(usize, Tensor)> = [32usize, 9, 1]
+            .iter()
+            .map(|&m| (m, Tensor::randn([m, k], 0.0, 1.0, &mut rng)))
+            .collect();
+        let fc = |m: usize, a: &Tensor| gemm_bias_relu(a.data(), b.data(), bias.data(), m, k, n);
+
+        std::hint::black_box(fc(32, &inputs[0].1));
+        let before = scratch::grow_events();
+        for _ in 0..3 {
+            for (m, a) in &inputs {
+                std::hint::black_box(fc(*m, a));
+            }
+        }
+        assert_eq!(
+            scratch::grow_events(),
+            before,
+            "fc products after an m = 32 warm-up grew the scratch pool"
         );
     });
 }
