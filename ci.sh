@@ -27,6 +27,12 @@ RAYON_NUM_THREADS=1 cargo test -q
 echo "== dcd-tensor unit and property suites =="
 cargo test -q -p dcd-tensor
 
+# The host build (target-cpu=native) compiles the 512-bit register tile on
+# an AVX-512 machine; the bitwise suites must also pass against the
+# autovectorized AVX2 tile that every other x86-64 machine runs.
+echo "== dcd-tensor suites on the AVX2 fallback (target-cpu=x86-64-v3) =="
+RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 cargo test -q -p dcd-tensor
+
 echo "== kernel equivalence under a pinned-sequential pool =="
 RAYON_NUM_THREADS=1 cargo test -q -p dcd-tensor --test parallel_equivalence
 

@@ -4,12 +4,16 @@
 //! convolution. Every product runs one of three routines, chosen per call
 //! from its shape (see [`gemm_ep`]):
 //!
-//! * **Packed** — conv shapes and every product whose `B` fits in cache.
-//!   `A` is packed into row-panels of `MR` rows and `B` into column-panels
-//!   of `NR` columns (k-major inside each panel), once per call, into
-//!   thread-local [`crate::scratch`] buffers; each register tile then runs
-//!   over the whole `k` extent. Parallel tasks own disjoint `MC`-row
-//!   blocks of `C`.
+//! * **Packed** — every product whose `B` fits in cache (the convolution
+//!   backward's per-sample products among them). `A` is packed into
+//!   row-panels of `MR` rows and `B` into column-panels of `NR` columns
+//!   (k-major inside each panel), once per call, into thread-local
+//!   [`crate::scratch`] buffers; each register tile then runs over the
+//!   whole `k` extent, B panels in the outer loop so one stays cache-hot
+//!   while the A panels sweep it. Parallel tasks own disjoint `MC`-row
+//!   blocks of `C`. The convolution forward pass drives the same tile loop
+//!   through `gemm_slab`, over L2-sized slabs of `B` that `conv` packs
+//!   straight from the input image.
 //! * **Blocked** — products whose `B` is DRAM-resident (`k·n ≥ BIG_RHS`,
 //!   e.g. the 7680×4096 fc1 weights) and that are not thin. `C` is cut
 //!   into a fixed 2-D grid of blocks of `MC_BLOCKED` rows × `NC` columns,
@@ -18,9 +22,9 @@
 //!   and sweeps its register tiles over it, so `B` crosses DRAM once per
 //!   row block (once per call for the batched FC shapes, `m ≤ MC_BLOCKED`)
 //!   rather than once per output row. Tasks accumulate into fixed-size
-//!   staging chunks (handed out by `par_chunks_mut`, so the crate stays
-//!   free of `unsafe`), and one pass after the join scatters them into `C`
-//!   through the epilogue.
+//!   staging chunks (handed out by `par_chunks_mut`, so no task needs
+//!   shared mutable access to `C`), and one pass after the join scatters
+//!   them into `C` through the epilogue.
 //! * **Thin** — skinny products (`m ≤ THIN_M` with a row-major `B` —
 //!   batch-1 inference) skip packing: packing `B` costs `k·n` writes, more
 //!   than the whole product is worth at `m = 1`. An axpy kernel runs
@@ -28,10 +32,13 @@
 //!   in L2 while the rows consume them. A DRAM-resident `B` is split into
 //!   one contiguous column range per pool thread; a small one runs inline.
 //!
-//! An `MR×NR` register tile (6×16 for full-size problems — 12 ymm
-//! accumulators under AVX2, narrowed for skinny ones) accumulates with one
-//! `mul_add` per element and no data-dependent branches; LLVM
-//! autovectorizes the `NR`-wide inner loop to FMA lanes (the workspace
+//! An `MR×NR` register tile accumulates with one `mul_add` per element and
+//! no data-dependent branches, narrowed for skinny problems. At full size
+//! it is 6×32 on AVX-512 builds: 12 zmm accumulators, written with
+//! `core::arch` intrinsics because LLVM keeps autovectorized code to
+//! 256-bit vectors there (`fma_tile_zmm`, the crate's one `unsafe` block).
+//! Every other tile, and the full-size 6×16 tile (12 ymm accumulators) of
+//! builds without AVX-512, is left to LLVM's autovectorizer (the workspace
 //! builds with `target-cpu=native`, see `.cargo/config.toml`). The
 //! write-back applies a fused [`Epilogue`] — overwrite, accumulate, or
 //! bias (+ optional ReLU), broadcast over rows or columns — so callers like
@@ -41,25 +48,30 @@
 //!
 //! Every output element is a single fused-multiply-add chain over
 //! `p = 0..k` in ascending order — carried across `KC` slices in f32 by the
-//! blocked path — regardless of the routine, the tile shape, the block
-//! grid, or the thread count. That is what keeps parallel runs
-//! bit-identical to sequential ones and the three routines bit-identical
-//! to each other. (The retained [`gemm_legacy`] baseline uses separate
-//! mul+add, so it agrees with the packed kernel only to rounding, not to
-//! the bit.)
+//! blocked path — regardless of the routine, the tile shape or width, the
+//! block grid, or the thread count. That is what keeps parallel runs
+//! bit-identical to sequential ones, the three routines bit-identical to
+//! each other, and AVX-512 builds bit-identical to AVX2 ones. (The
+//! retained [`gemm_legacy`] baseline uses separate mul+add, so it agrees
+//! with the packed kernel only to rounding, not to the bit.)
 
 use crate::scratch;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Rows per A micro-panel at full size. 6 rows × 16 columns is 12 ymm
-/// accumulators — with the B row (2) and the A broadcast (1) that is 15 of
-/// the 16 AVX2 registers, and 12 independent FMA chains comfortably covers
-/// the latency×throughput product of the FMA units.
+/// Rows per A micro-panel at full size.
 const MR_MAX: usize = 6;
-/// Columns per B micro-panel at full size (two 8-lane vectors).
-const NR_MAX: usize = 16;
+/// Columns per B micro-panel at full size. On AVX-512, 6 rows × 32 columns
+/// is 12 zmm accumulators — with the two B vectors and the A broadcast, 15
+/// of the 32 registers — and 12 independent FMA chains cover the FMA units'
+/// latency×throughput product. Elsewhere 6×16 is 12 ymm accumulators, 15
+/// of the 16 AVX2 registers.
+pub(crate) const NR_MAX: usize = if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+    32
+} else {
+    16
+};
 /// Rows of `C` per parallel task on the packed path (a multiple of every
 /// selectable `MR`).
 const MC: usize = 60;
@@ -82,25 +94,29 @@ const MC_BLOCKED: usize = 48;
 const THIN_CHUNK_BYTES: usize = 256 << 10;
 /// `m·n·k` below which the block loop runs inline (scheduling would
 /// dominate). The parallel and sequential paths run identical code.
-const PAR_WORK: usize = 1 << 16;
+pub(crate) const PAR_WORK: usize = 1 << 16;
 
 /// Calls `$f::<MR, NR>(args…)` for the runtime tile shape `$tile`, so the
 /// micro-kernel is monomorphized per shape and dispatched once per call.
 macro_rules! dispatch_tile {
     ($tile:expr, $f:ident($($arg:expr),* $(,)?)) => {
         match $tile {
+            (6, 32) => $f::<6, 32>($($arg),*),
             (6, 16) => $f::<6, 16>($($arg),*),
             (6, 8) => $f::<6, 8>($($arg),*),
             (6, 4) => $f::<6, 4>($($arg),*),
             (6, 1) => $f::<6, 1>($($arg),*),
+            (4, 32) => $f::<4, 32>($($arg),*),
             (4, 16) => $f::<4, 16>($($arg),*),
             (4, 8) => $f::<4, 8>($($arg),*),
             (4, 4) => $f::<4, 4>($($arg),*),
             (4, 1) => $f::<4, 1>($($arg),*),
+            (2, 32) => $f::<2, 32>($($arg),*),
             (2, 16) => $f::<2, 16>($($arg),*),
             (2, 8) => $f::<2, 8>($($arg),*),
             (2, 4) => $f::<2, 4>($($arg),*),
             (2, 1) => $f::<2, 1>($($arg),*),
+            (1, 32) => $f::<1, 32>($($arg),*),
             (1, 16) => $f::<1, 16>($($arg),*),
             (1, 8) => $f::<1, 8>($($arg),*),
             (1, 4) => $f::<1, 4>($($arg),*),
@@ -218,9 +234,11 @@ fn select_mr(m: usize) -> usize {
 }
 
 /// Micro-panel width for an `n`-column problem (see [`select_mr`]).
-fn select_nr(n: usize) -> usize {
+pub(crate) fn select_nr(n: usize) -> usize {
     if n >= NR_MAX {
         NR_MAX
+    } else if n >= 16 {
+        16
     } else if n >= 8 {
         8
     } else if n >= 2 {
@@ -356,6 +374,11 @@ impl PackedLhs {
     pub fn k(&self) -> usize {
         self.k
     }
+
+    /// Rows per packed panel (a row block split must be a multiple of it).
+    pub(crate) fn mr(&self) -> usize {
+        self.mr
+    }
 }
 
 impl Drop for PackedLhs {
@@ -372,7 +395,9 @@ impl Drop for PackedLhs {
 /// Each accumulator is one `mul_add` chain over `a[i][p]·b[p][j]` for `p`
 /// ascending — one fused chain per output element, independent of tile
 /// shape and thread count, which is the invariant behind the
-/// bit-determinism guarantee.
+/// bit-determinism guarantee. 32-wide tiles run the explicit 512-bit
+/// kernel under AVX-512; every other shape (and every shape elsewhere) is
+/// left to LLVM's autovectorizer.
 #[inline(always)]
 fn fma_tile<const MR: usize, const NR: usize>(
     apanel: &[f32],
@@ -380,6 +405,10 @@ fn fma_tile<const MR: usize, const NR: usize>(
     kdim: usize,
     acc: &mut [[f32; NR]; MR],
 ) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    if NR == 32 {
+        return fma_tile_zmm::<MR>(apanel, bpanel, kdim, acc.as_flattened_mut());
+    }
     for p in 0..kdim {
         let ar = &apanel[p * MR..p * MR + MR];
         let br = &bpanel[p * NR..p * NR + NR];
@@ -392,62 +421,83 @@ fn fma_tile<const MR: usize, const NR: usize>(
     }
 }
 
-/// Computes one `MR×NR` register tile over the full `k` extent and writes
-/// it back through the epilogue, masking the ragged edge.
+/// [`fma_tile`] for an `MR×32` tile in `2·MR` zmm accumulators: per
+/// `k`-step, two 16-lane loads of the B row and one broadcast per A element.
+/// `_mm512_fmadd_ps` rounds once, exactly like `f32::mul_add`, so each lane
+/// carries the same chain as the portable loop. LLVM keeps 256-bit vectors
+/// for autovectorized code on AVX-512 targets, so the wide tile is spelled
+/// out with intrinsics.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn micro_tile<const MR: usize, const NR: usize>(
-    apanel: &[f32],
-    bpanel: &[f32],
-    kdim: usize,
-    c_rows: &mut [f32],
-    row0: usize,
-    gi: usize,
-    j0: usize,
-    m_rem: usize,
-    n_rem: usize,
-    n: usize,
-    ep: Epilogue<'_>,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    fma_tile(apanel, bpanel, kdim, &mut acc);
-    for (i, acc_row) in acc.iter().enumerate().take(m_rem) {
-        let crow = &mut c_rows[(row0 + i) * n + j0..(row0 + i) * n + j0 + n_rem];
-        ep.write_row(crow, acc_row, gi + i, j0);
+fn fma_tile_zmm<const MR: usize>(apanel: &[f32], bpanel: &[f32], kdim: usize, acc: &mut [f32]) {
+    use core::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    assert!(
+        apanel.len() >= kdim * MR && bpanel.len() >= kdim * 32 && acc.len() == MR * 32,
+        "fma_tile_zmm: panels shorter than {kdim} k-steps"
+    );
+    let (a, b, c) = (apanel.as_ptr(), bpanel.as_ptr(), acc.as_mut_ptr());
+    // SAFETY: the assert above bounds every access: A reads `p·MR + i <
+    // kdim·MR`, B reads 16 lanes at `p·32` and `p·32 + 16`, ending below
+    // `kdim·32`, and the accumulator loads/stores cover `acc[..MR·32]`
+    // exactly. All loads and stores are unaligned-tolerant (`loadu`/
+    // `storeu`), and the `avx512f` target feature is enabled at compile
+    // time by the `cfg` on this function.
+    unsafe {
+        let mut rows = [[_mm512_setzero_ps(); 2]; MR];
+        for (i, r) in rows.iter_mut().enumerate() {
+            *r = [
+                _mm512_loadu_ps(c.add(i * 32)),
+                _mm512_loadu_ps(c.add(i * 32 + 16)),
+            ];
+        }
+        for p in 0..kdim {
+            let b0 = _mm512_loadu_ps(b.add(p * 32));
+            let b1 = _mm512_loadu_ps(b.add(p * 32 + 16));
+            for (i, r) in rows.iter_mut().enumerate() {
+                let ai = _mm512_set1_ps(*a.add(p * MR + i));
+                r[0] = _mm512_fmadd_ps(ai, b0, r[0]);
+                r[1] = _mm512_fmadd_ps(ai, b1, r[1]);
+            }
+        }
+        for (i, r) in rows.iter().enumerate() {
+            _mm512_storeu_ps(c.add(i * 32), r[0]);
+            _mm512_storeu_ps(c.add(i * 32 + 16), r[1]);
+        }
     }
 }
 
-/// Runs every micro-tile of one `MC`-row block of `C`.
+/// Runs every micro-tile of `rows` × `cols` of `C` over the full `k`
+/// extent and writes each back through the epilogue, masking the ragged
+/// edge. `rows.start` is a multiple of `MR`, so row panel `ip / MR` of
+/// `apack` starts at `ip·k`. `c_rows` holds rows `rows` at stride `ldc`;
+/// `bpack` holds the column-panels of `cols` (panel `(jp − cols.start) /
+/// NR` holds columns `jp..jp + NR`). B panels are the outer loop, so one B
+/// micro-panel stays cache-hot while every A panel of the block sweeps it.
 #[allow(clippy::too_many_arguments)]
 fn block<const MR: usize, const NR: usize>(
     apack: &[f32],
     bpack: &[f32],
     c_rows: &mut [f32],
-    i0: usize,
-    i1: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
     k: usize,
-    n: usize,
+    ldc: usize,
     ep: Epilogue<'_>,
 ) {
-    for ip in (i0..i1).step_by(MR) {
-        let apanel = &apack[(ip / MR) * MR * k..(ip / MR + 1) * MR * k];
-        let m_rem = MR.min(i1 - ip);
-        for jp in (0..n).step_by(NR) {
-            let bpanel = &bpack[(jp / NR) * NR * k..(jp / NR + 1) * NR * k];
-            let n_rem = NR.min(n - jp);
-            micro_tile::<MR, NR>(
-                apanel,
-                bpanel,
-                k,
-                c_rows,
-                ip - i0,
-                ip,
-                jp,
-                m_rem,
-                n_rem,
-                n,
-                ep,
-            );
+    for jp in cols.clone().step_by(NR) {
+        let bpanel = &bpack[(jp - cols.start) * k..(jp - cols.start + NR) * k];
+        let n_rem = NR.min(cols.end - jp);
+        for ip in rows.clone().step_by(MR) {
+            let apanel = &apack[ip * k..(ip + MR) * k];
+            let m_rem = MR.min(rows.end - ip);
+            let mut acc = [[0.0f32; NR]; MR];
+            fma_tile(apanel, bpanel, k, &mut acc);
+            let c = &mut c_rows[(ip - rows.start) * ldc + jp..];
+            for (i, t) in acc.iter().enumerate().take(m_rem) {
+                ep.write_row(&mut c[i * ldc..i * ldc + n_rem], t, ip + i, jp);
+            }
         }
     }
 }
@@ -467,8 +517,8 @@ pub fn gemm_packed(pa: &PackedLhs, b: &[f32], tb: Trans, c: &mut [f32], n: usize
     let tile = (pa.mr, nr);
     let apack = &pa.buf;
     let run = |(blk, c_blk): (usize, &mut [f32])| {
-        let (i0, i1) = (blk * MC, (blk * MC + MC).min(m));
-        dispatch_tile!(tile, block(apack, &bpack, c_blk, i0, i1, k, n, ep));
+        let rows = blk * MC..(blk * MC + MC).min(m);
+        dispatch_tile!(tile, block(apack, &bpack, c_blk, rows, 0..n, k, n, ep));
     };
     if m * n * k < PAR_WORK {
         c.chunks_mut(MC * n).enumerate().for_each(run);
@@ -476,6 +526,29 @@ pub fn gemm_packed(pa: &PackedLhs, b: &[f32], tb: Trans, c: &mut [f32], n: usize
         c.par_chunks_mut(MC * n).enumerate().for_each(run);
     }
     scratch::release(bpack);
+}
+
+/// Sweeps the pre-packed `pa` over one packed slab of `B` — columns `cols`
+/// of the product, `nr` per column-panel, full `k` extent, laid out as
+/// [`pack_rhs`] would — writing rows `rows` of `C` (held in `c_rows` at
+/// stride `ldc`) through the epilogue. The convolution forward pass packs
+/// such slabs straight from the input image.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_slab(
+    pa: &PackedLhs,
+    slab: &[f32],
+    nr: usize,
+    c_rows: &mut [f32],
+    rows: Range<usize>,
+    cols: Range<usize>,
+    ldc: usize,
+    ep: Epilogue<'_>,
+) {
+    let k = pa.k;
+    dispatch_tile!(
+        (pa.mr, nr),
+        block(&pa.buf, slab, c_rows, rows, cols, k, ldc, ep)
+    );
 }
 
 // ------------------------------------------------- blocked and thin paths

@@ -1,12 +1,11 @@
 //! Thread-local scratch arena for kernel work buffers.
 //!
-//! The conv/im2col/GEMM hot path used to heap-allocate its intermediates
-//! (`im2col` columns, GEMM pack panels, `col2im` staging) with `vec!` on
-//! every call — per sample, per tile, per NAS trial. This module replaces
-//! those with a per-thread free list of `f32` buffers: [`take`] hands out a
-//! zeroed buffer of the requested length, [`release`] returns it with its
-//! capacity intact, and in steady state no call touches the allocator at
-//! all.
+//! The conv/GEMM hot path used to heap-allocate its intermediates (`im2col`
+//! columns, GEMM pack panels, `col2im` staging) with `vec!` on every call —
+//! per sample, per tile, per NAS trial. This module replaces those with a
+//! per-thread free list of `f32` buffers: [`take`] hands out a zeroed
+//! buffer of the requested length, [`release`] returns it with its capacity
+//! intact, and in steady state no call touches the allocator at all.
 //!
 //! Design:
 //! * The pool is `thread_local!`, so rayon workers never contend and a
@@ -18,9 +17,13 @@
 //!   `im2col` that only write the in-bounds positions stay correct, and no
 //!   stale data from a previous caller can leak into a result (which would
 //!   also break the workspace's bit-determinism guarantee).
+//! * [`take_overwrite`] skips that memset, for kernels that write every
+//!   element before reading any: the convolution forward pass's padded
+//!   input copy and packed slabs, which would otherwise be cleared only to
+//!   be overwritten.
 //! * Checkout prefers the smallest pooled buffer whose capacity fits, so a
-//!   mixed workload (tiny bias panels next to megabyte im2col columns)
-//!   does not burn its big buffers on small requests.
+//!   mixed workload (tiny bias panels next to megabyte slabs) does not burn
+//!   its big buffers on small requests.
 //! * Every capacity growth increments a global counter, [`grow_events`].
 //!   Tests use the counter to prove the steady-state claim: after a warm-up
 //!   call, repeated `conv2d` invocations must not grow anything.
@@ -48,10 +51,31 @@ thread_local! {
 /// Pair with [`release`]; a buffer that is never released is just a normal
 /// allocation (nothing leaks, the pool only loses the reuse).
 pub fn take(len: usize) -> Vec<f32> {
+    let mut buf = checkout(len);
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// Checks out a buffer of exactly `len` elements **without** clearing what
+/// its previous user left in it (only a grown tail is zero-filled).
+///
+/// For kernels that write every element before reading any — the
+/// convolution forward pass's padded input and packed slabs — and would
+/// otherwise pay [`take`]'s memset for nothing. Pair with [`release`].
+pub fn take_overwrite(len: usize) -> Vec<f32> {
+    let mut buf = checkout(len);
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// Pops the pooled buffer best suited to hold `len` elements (contents and
+/// length as released), counting a growth when none has the capacity.
+fn checkout(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    let mut buf = POOL.with(|pool| {
+    let buf = POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
         // Smallest pooled buffer that fits without growing; otherwise the
         // overall largest, which minimizes the size of the growth.
@@ -85,8 +109,6 @@ pub fn take(len: usize) -> Vec<f32> {
         #[cfg(test)]
         THREAD_GROWS.with(|g| g.set(g.get() + 1));
     }
-    buf.clear();
-    buf.resize(len, 0.0);
     buf
 }
 
@@ -157,6 +179,20 @@ mod tests {
         assert!(big.capacity() >= 1 << 16, "big buffer was not reused");
         release(small);
         release(big);
+    }
+
+    #[test]
+    fn take_overwrite_reuses_any_fitting_length() {
+        release(vec![3.0; 40]);
+        let before = thread_grows();
+        // Shorter and longer than the released length, within capacity.
+        let short = take_overwrite(10);
+        assert_eq!(short.len(), 10);
+        release(short);
+        let long = take_overwrite(40);
+        assert_eq!(long.len(), 40);
+        assert_eq!(thread_grows(), before, "a fitting buffer was not reused");
+        release(long);
     }
 
     #[test]

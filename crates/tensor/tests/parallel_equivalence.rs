@@ -146,6 +146,31 @@ fn conv2d_relu_parallel_matches_sequential_bitwise() {
 }
 
 #[test]
+fn small_batch_conv2d_parallel_matches_sequential_bitwise() {
+    pin_threads();
+    // Batches smaller than the pool split each sample between threads:
+    // slab panels are packed in parallel and output rows swept in blocks.
+    // conv2's k = 576 gives 448-column slabs, so the 40×40 output spans
+    // four, the last ragged; c_out = 20 splits into uneven row blocks.
+    let mut rng = SeededRng::new(83);
+    let w = Tensor::randn([20, 64, 3, 3], 0.0, 0.1, &mut rng);
+    let b = Tensor::randn([20], 0.0, 0.1, &mut rng);
+    for batch in [1, 3] {
+        let x = Tensor::randn([batch, 64, 40, 40], 0.0, 1.0, &mut rng);
+        let par = conv2d_relu(&x, &w, &b, 1, 1);
+        let seq = rayon::force_sequential(|| conv2d_relu(&x, &w, &b, 1, 1));
+        assert_bits_eq(
+            par.data(),
+            seq.data(),
+            &format!("conv2d_relu batch {batch}"),
+        );
+        let par = conv2d(&x, &w, &b, 2, 0);
+        let seq = rayon::force_sequential(|| conv2d(&x, &w, &b, 2, 0));
+        assert_bits_eq(par.data(), seq.data(), &format!("conv2d s2 batch {batch}"));
+    }
+}
+
+#[test]
 fn conv2d_backward_parallel_matches_sequential_bitwise() {
     pin_threads();
     let mut rng = SeededRng::new(37);

@@ -79,12 +79,16 @@ fn assert_bits(got: &[f32], want: &[f32], what: &str) {
 
 /// `k` straddles the blocked path's `KC = 256` slices (`2·KC + 5`).
 const K_BLOCKED: usize = 2 * 256 + 5;
-/// Straddles the `NC = 512` column blocks (8 full + 4) and the `NR = 16`
+/// Straddles the `NC = 512` column blocks (8 full + 4) and the `NR = 32`
 /// panels; with `K_BLOCKED`, `k·n ≥ 2^21`, so `B` counts as DRAM-resident
 /// and `m` alone picks the thin (`m ≤ 8`) or the blocked path.
 const N_BLOCKED: usize = 4100;
 /// Straddles the thin/blocked crossover (8/9) and the `MR = 6` panels.
 const M_CROSSOVER: [usize; 8] = [1, 3, 5, 6, 8, 9, 32, 33];
+/// Column counts around the 32-wide tile: 24 and 31 select the 16-wide
+/// fallback with a ragged edge, 32 is one whole panel, and 33, 47, 48, 63
+/// and 65 leave ragged 32-wide edges of 1, 15, 16, 31 and 1 columns.
+const N_TILE_EDGES: [usize; 8] = [24, 31, 32, 33, 47, 48, 63, 65];
 
 #[test]
 fn transposed_variants_match_chain_oracle_bitwise() {
@@ -116,12 +120,42 @@ fn transposed_variants_match_chain_oracle_bitwise() {
 }
 
 #[test]
+fn narrow_tiles_match_chain_oracle_bitwise() {
+    // Every row-panel height (m = 1, 2, 4, 6 and ragged 3, 5, 7, 13) against
+    // every column-width edge of the 32-wide tile. `gemm_bt` always tiles;
+    // `gemm` takes the thin path up to m = 8 and tiles above.
+    let k = 37;
+    let mut rng = SeededRng::new(0x32);
+    for m in [1, 2, 3, 4, 5, 6, 7, 13] {
+        for n in N_TILE_EDGES {
+            let a = randn(m * k, &mut rng);
+            let b = randn(k * n, &mut rng);
+            let want = gemm_chain(&a, &b, m, k, n);
+            assert_bits(&gemm(&a, &b, m, k, n), &want, &format!("gemm {m}x{n}"));
+            let bt = transpose(&b, k, n);
+            assert_bits(
+                &gemm_bt(&a, &bt, m, k, n),
+                &want,
+                &format!("gemm_bt {m}x{n}"),
+            );
+        }
+    }
+}
+
+#[test]
 fn every_epilogue_matches_chain_oracle_bitwise() {
     // One thin and one blocked shape against a DRAM-sized B, plus the thin
-    // and packed paths against a small B.
+    // and packed paths against a small B, the packed one at every column
+    // edge of the 32-wide tile.
     let k = K_BLOCKED;
     let mut rng = SeededRng::new(0xE9);
-    for (m, n) in [(3, N_BLOCKED), (9, N_BLOCKED), (3, 100), (33, 100)] {
+    let small_b = [(3, 100), (33, 100)];
+    let tile_edges = N_TILE_EDGES.map(|n| (33, n));
+    for (m, n) in [(3, N_BLOCKED), (9, N_BLOCKED)]
+        .into_iter()
+        .chain(small_b)
+        .chain(tile_edges)
+    {
         let a = randn(m * k, &mut rng);
         let b = randn(k * n, &mut rng);
         let c0 = randn(m * n, &mut rng);
@@ -148,10 +182,11 @@ fn small_f32() -> impl Strategy<Value = f32> {
 }
 
 /// Dimension sizes that stress the packed kernel's edge handling: every
-/// residue mod the 8/4/1 tile sizes, plus 31 (odd, just under a panel
-/// multiple) and 64 (whole panels, exercises the MC row-block split).
-const TILE_EDGE_SIZES: [usize; 19] = [
-    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64,
+/// residue mod the 16/8/4/1 tile sizes, the edges of the 32-wide tile
+/// (24, 31, 32, 33, 47, 48, 63, 65) and 64 (whole panels, exercises the MC
+/// row-block split).
+const TILE_EDGE_SIZES: [usize; 26] = [
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 31, 32, 33, 47, 48, 63, 64, 65,
 ];
 
 fn tile_edge_dim() -> impl Strategy<Value = usize> {

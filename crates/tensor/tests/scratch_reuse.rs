@@ -1,15 +1,18 @@
 //! Steady-state allocation behaviour of the scratch arena.
 //!
 //! After a warm-up call, repeated conv2d forward/backward passes at a fixed
-//! shape — and fully-connected products at the batch sizes a scan issues —
-//! must run entirely out of the thread-local scratch pool: the global
+//! shape — and conv forward passes and fully-connected products at the
+//! batch sizes a scan issues — must run entirely out of the thread-local
+//! scratch pool: the global
 //! grow-event counter must not move. Run single-threaded so every
 //! `scratch::take` hits the same thread-local pool that the warm-up filled —
 //! under the work-stealing pool the sample loop may land on a worker with a
 //! cold pool, which is fine in production (each worker warms once) but would
 //! make the counter nondeterministic here.
 
-use dcd_tensor::{conv2d, conv2d_backward, gemm_bias_relu, scratch, SeededRng, Tensor};
+use dcd_tensor::{
+    conv2d, conv2d_backward, conv2d_relu, gemm_bias_relu, scratch, SeededRng, Tensor,
+};
 use std::sync::Mutex;
 
 /// `grow_events` is process-global while pools are thread-local; serialize
@@ -79,6 +82,37 @@ fn mixed_shapes_settle_after_one_round() {
             scratch::grow_events(),
             before,
             "alternating shapes should reuse pooled buffers"
+        );
+    });
+}
+
+#[test]
+fn conv_scan_batches_do_not_grow_scratch() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    rayon::force_sequential(|| {
+        // A scan runs the full batch of 32, then its ragged last chunk of 9;
+        // queries run batch 1, which splits each sample across the pool.
+        // The per-sample padded image and packed slab depend only on the
+        // layer shape, so one warm-up call at batch 32 covers all three.
+        let mut rng = SeededRng::new(89);
+        let w = Tensor::randn([8, 4, 3, 3], 0.0, 0.2, &mut rng);
+        let b = Tensor::randn([8], 0.0, 0.1, &mut rng);
+        let inputs: Vec<Tensor> = [32usize, 9, 1]
+            .iter()
+            .map(|&n| Tensor::randn([n, 4, 24, 24], 0.0, 1.0, &mut rng))
+            .collect();
+
+        std::hint::black_box(conv2d_relu(&inputs[0], &w, &b, 1, 1));
+        let before = scratch::grow_events();
+        for _ in 0..3 {
+            for x in &inputs {
+                std::hint::black_box(conv2d_relu(x, &w, &b, 1, 1));
+            }
+        }
+        assert_eq!(
+            scratch::grow_events(),
+            before,
+            "conv forward at batch 32, 9 and 1 after a batch-32 warm-up grew the scratch pool"
         );
     });
 }
