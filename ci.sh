@@ -8,8 +8,8 @@ echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== cargo clippy --workspace -D warnings -D deprecated =="
-# -D deprecated keeps in-repo code off the legacy dcd-profiler free
-# functions: everything must go through ProfileReport.
+# -D deprecated fails the build on any use of a #[deprecated] item, so a
+# deprecation ends with its callers migrated and the item deleted.
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
 echo "== tier-1: cargo build --release && cargo test -q =="
@@ -22,10 +22,12 @@ cargo test -q
 echo "== tier-1 again, pool pinned sequential (RAYON_NUM_THREADS=1) =="
 RAYON_NUM_THREADS=1 cargo test -q
 
-# The root `cargo test` covers only the top-level package; the kernel
-# crate's own suites (bitwise GEMM oracle, scratch no-growth) run here.
-echo "== dcd-tensor unit and property suites =="
-cargo test -q -p dcd-tensor
+# The root `cargo test` covers only the top-level package; every crate's own
+# suites (the dcd-tensor bitwise GEMM oracle and scratch no-growth, the
+# dcd-nn golden training pin and gradient checks, dcd-ios, dcd-serve, ...)
+# run here.
+echo "== every crate's unit and integration suites (--workspace) =="
+cargo test -q --workspace
 
 # The host build (target-cpu=native) compiles the 512-bit register tile on
 # an AVX-512 machine; the bitwise suites must also pass against the

@@ -199,28 +199,12 @@ impl<'g> Executor<'g> {
     }
 
     /// Runs one inference, returning its latency in ns.
+    ///
+    /// [`Executor::try_run_inference`] without a watchdog; panics if an
+    /// injected fault fires.
     pub fn run_inference(&mut self) -> u64 {
-        let _span = dcd_obs::span("ios.infer", dcd_obs::Category::Ios);
-        dcd_obs::counter!("ios.stages").add(self.schedule.stages.len() as u64);
-        let t0 = self.gpu.host_ns();
-        self.gpu.memcpy_async(0, CopyDir::H2D, self.input_bytes);
-        self.gpu.device_synchronize();
-        for stage in &self.schedule.stages {
-            let max_len = stage.groups.iter().map(|g| g.len()).max().unwrap_or(0);
-            // Round-robin dispatch across groups, mirroring the cost model.
-            for i in 0..max_len {
-                for (gi, group) in stage.groups.iter().enumerate() {
-                    if let Some(&op) = group.get(i) {
-                        self.gpu
-                            .launch_kernel(self.streams[gi], self.graph.kernel_for(op, self.batch));
-                    }
-                }
-            }
-            self.gpu.device_synchronize();
-        }
-        self.gpu.memcpy_async(0, CopyDir::D2H, self.output_bytes);
-        self.gpu.device_synchronize();
-        self.gpu.host_ns() - t0
+        self.try_run_inference(u64::MAX)
+            .expect("inference failed under fault injection; use try_run_inference")
     }
 
     /// Fallible [`Executor::run_inference`]: every CUDA call can fail under
@@ -250,6 +234,7 @@ impl<'g> Executor<'g> {
         self.gpu.try_device_synchronize(watchdog_ns)?;
         for stage in &self.schedule.stages {
             let max_len = stage.groups.iter().map(|g| g.len()).max().unwrap_or(0);
+            // Round-robin dispatch across groups, mirroring the cost model.
             for i in 0..max_len {
                 for (gi, group) in stage.groups.iter().enumerate() {
                     if let Some(&op) = group.get(i) {
@@ -322,39 +307,26 @@ impl<'g> Executor<'g> {
 
     /// [`Executor::run_many`] using event-based stage synchronization.
     pub fn run_many_events(&mut self, warmup: usize, iterations: usize) -> RunStats {
-        assert!(iterations > 0, "need at least one measured iteration");
-        for _ in 0..warmup {
-            self.run_inference_events();
-        }
-        let mut total = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for _ in 0..iterations {
-            let t = self.run_inference_events();
-            total += t;
-            min = min.min(t);
-            max = max.max(t);
-        }
-        RunStats {
-            batch: self.batch,
-            iterations,
-            mean_ns: total as f64 / iterations as f64,
-            min_ns: min,
-            max_ns: max,
-        }
+        self.measure(warmup, iterations, Self::run_inference_events)
     }
 
     /// Runs `warmup` unmeasured then `iterations` measured inferences.
     pub fn run_many(&mut self, warmup: usize, iterations: usize) -> RunStats {
+        self.measure(warmup, iterations, Self::run_inference)
+    }
+
+    /// The stats loop behind [`Executor::run_many`] and
+    /// [`Executor::run_many_events`]: `run` is one inference.
+    fn measure(&mut self, warmup: usize, iterations: usize, run: fn(&mut Self) -> u64) -> RunStats {
         assert!(iterations > 0, "need at least one measured iteration");
         for _ in 0..warmup {
-            self.run_inference();
+            run(self);
         }
         let mut total = 0u64;
         let mut min = u64::MAX;
         let mut max = 0u64;
         for _ in 0..iterations {
-            let t = self.run_inference();
+            let t = run(self);
             total += t;
             min = min.min(t);
             max = max.max(t);

@@ -1,18 +1,24 @@
 //! Concrete CNN layers with explicit forward/backward passes.
 //!
-//! Each layer caches whatever its backward pass needs during `forward`;
-//! calling `backward` before `forward` is a programming error and panics.
+//! Every layer runs two ways. [`Layer::forward`] records what its backward
+//! pass needs; calling `backward` before `forward` is a programming error
+//! and panics. [`Layer::infer`] computes the same output, bit for bit, from
+//! `&self`: it records nothing and copies no input.
 
 use crate::param::Param;
 use dcd_tensor::{
-    adaptive_max_pool2d, adaptive_max_pool2d_backward, conv2d, conv2d_backward, max_pool2d,
-    max_pool2d_backward, AdaptiveMaxIndices, MaxIndices, SeededRng, Shape, Tensor,
+    adaptive_max_pool2d, adaptive_max_pool2d_values, conv2d_backward, conv2d_relu, max_pool2d,
+    max_pool2d_backward, max_pool2d_values, MaxIndices, SeededRng, Tensor,
 };
+use rayon::prelude::*;
 
 /// Common interface over all layers.
 pub trait Layer {
-    /// Computes the layer output, caching state for `backward`.
+    /// Computes the layer output, recording state for `backward`.
     fn forward(&mut self, x: &Tensor) -> Tensor;
+    /// Computes the same output as [`Layer::forward`] without recording
+    /// anything — the inference path.
+    fn infer(&self, x: &Tensor) -> Tensor;
     /// Propagates `grad_out` to the input gradient, accumulating parameter
     /// gradients along the way.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
@@ -24,69 +30,89 @@ pub trait Layer {
     fn name(&self) -> String;
 }
 
-// ------------------------------------------------------------------- Conv2d
+/// ReLU backward in place: zeroes `grad` wherever the recorded ReLU output
+/// `act` is not positive (NaN included). The 0/1 factor is multiplied in,
+/// not stored, so every bit (signed zeros too) matches `grad · mask`.
+fn mask_relu_grad(grad: &mut Tensor, act: &Tensor) {
+    assert_eq!(grad.shape(), act.shape(), "ReLU grad shape mismatch");
+    grad.data_mut()
+        .par_iter_mut()
+        .zip(act.data().par_iter())
+        .for_each(|(g, &a)| *g *= f32::from(a > 0.0));
+}
 
-/// 2-D convolution layer (NCHW).
+// ---------------------------------------------------------------- ConvBlock
+
+/// The paper's C–P unit: a stride-1 "same" convolution with bias, ReLU and
+/// a 2×2/2 max pool (`C_{c,k,1} − P_{2,2}`), run through the fused
+/// `conv+bias+ReLU` kernel in training and inference alike.
 #[derive(Debug, Clone)]
-pub struct Conv2d {
-    /// Filter bank `[C_out, C_in, K, K]`.
+pub struct ConvBlock {
+    /// Filter bank `[C_out, C_in, K, K]` (odd `K`; padding is `K/2`).
     pub weight: Param,
     /// Per-filter bias `[C_out]`.
     pub bias: Param,
-    /// Spatial stride.
-    pub stride: usize,
-    /// Zero padding on each side.
-    pub pad: usize,
-    cached_input: Option<Tensor>,
+    saved: Option<ConvBlockState>,
 }
 
-impl Conv2d {
-    /// Kaiming-initialized convolution. `kernel` is the (square) filter size.
-    pub fn new(
-        c_in: usize,
-        c_out: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        rng: &mut SeededRng,
-    ) -> Self {
+/// What [`ConvBlock::backward`] needs from the forward pass.
+#[derive(Debug, Clone)]
+struct ConvBlockState {
+    input: Tensor,
+    /// The ReLU output (before pooling); its positive entries are the mask.
+    activation: Tensor,
+    pool: MaxIndices,
+}
+
+impl ConvBlock {
+    /// Kaiming-initialized block. `kernel` is the (square) filter size.
+    pub fn new(c_in: usize, c_out: usize, kernel: usize, rng: &mut SeededRng) -> Self {
         let fan_in = c_in * kernel * kernel;
-        Conv2d {
+        ConvBlock {
             weight: Param::new(
                 Tensor::kaiming([c_out, c_in, kernel, kernel], fan_in, rng),
                 true,
             ),
             bias: Param::new(Tensor::zeros([c_out]), false),
-            stride,
-            pad,
-            cached_input: None,
+            saved: None,
         }
     }
 
-    /// Convolution with "same" padding for odd kernels (pad = k/2), stride 1.
-    pub fn same(c_in: usize, c_out: usize, kernel: usize, rng: &mut SeededRng) -> Self {
-        Self::new(c_in, c_out, kernel, 1, kernel / 2, rng)
+    /// Zero padding on each side ("same" for odd kernels).
+    pub fn pad(&self) -> usize {
+        self.weight.value.dims()[2] / 2
+    }
+
+    fn activate(&self, x: &Tensor) -> Tensor {
+        conv2d_relu(x, &self.weight.value, &self.bias.value, 1, self.pad())
     }
 }
 
-impl Layer for Conv2d {
+impl Layer for ConvBlock {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cached_input = Some(x.clone());
-        conv2d(
-            x,
-            &self.weight.value,
-            &self.bias.value,
-            self.stride,
-            self.pad,
-        )
+        let activation = self.activate(x);
+        let (y, pool) = max_pool2d(&activation, 2, 2);
+        self.saved = Some(ConvBlockState {
+            input: x.clone(),
+            activation,
+            pool,
+        });
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        max_pool2d_values(&self.activate(x), 2, 2)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
+        let pad = self.pad();
+        let s = self
+            .saved
             .as_ref()
-            .expect("Conv2d::backward before forward");
-        let grads = conv2d_backward(x, &self.weight.value, grad_out, self.stride, self.pad);
+            .expect("ConvBlock::backward before forward");
+        let mut g = max_pool2d_backward(grad_out, &s.pool);
+        mask_relu_grad(&mut g, &s.activation);
+        let grads = conv2d_backward(&s.input, &self.weight.value, &g, 1, pad);
         self.weight.grad.axpy(1.0, &grads.weight);
         self.bias.grad.axpy(1.0, &grads.bias);
         grads.input
@@ -98,19 +124,16 @@ impl Layer for Conv2d {
 
     fn name(&self) -> String {
         let d = self.weight.value.dims();
-        format!(
-            "Conv2d({}->{}, k={}, s={}, p={})",
-            d[1], d[0], d[2], self.stride, self.pad
-        )
+        format!("ConvBlock({}->{}, k={})", d[1], d[0], d[2])
     }
 }
 
 // --------------------------------------------------------------------- ReLU
 
-/// Rectified linear unit.
+/// Rectified linear unit, for the FC trunk.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    mask: Option<Tensor>,
+    output: Option<Tensor>,
 }
 
 impl Relu {
@@ -122,62 +145,24 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let y = x.mul(&mask);
-        self.mask = Some(mask);
+        let y = self.infer(x);
+        self.output = Some(y.clone());
         y
     }
 
+    fn infer(&self, x: &Tensor) -> Tensor {
+        x.map(|v| if v > 0.0 { v } else { 0.0 })
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("Relu::backward before forward");
-        grad_out.mul(mask)
+        let y = self.output.as_ref().expect("Relu::backward before forward");
+        let mut g = grad_out.clone();
+        mask_relu_grad(&mut g, y);
+        g
     }
 
     fn name(&self) -> String {
         "ReLU".into()
-    }
-}
-
-// ---------------------------------------------------------------- MaxPool2d
-
-/// Fixed-window max pooling layer.
-#[derive(Debug, Clone)]
-pub struct MaxPool2d {
-    /// Square window size.
-    pub kernel: usize,
-    /// Stride.
-    pub stride: usize,
-    saved: Option<MaxIndices>,
-}
-
-impl MaxPool2d {
-    /// Pooling with the given window and stride (the paper uses 2/2).
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        MaxPool2d {
-            kernel,
-            stride,
-            saved: None,
-        }
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (y, ix) = max_pool2d(x, self.kernel, self.stride);
-        self.saved = Some(ix);
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let ix = self
-            .saved
-            .as_ref()
-            .expect("MaxPool2d::backward before forward");
-        max_pool2d_backward(grad_out, ix)
-    }
-
-    fn name(&self) -> String {
-        format!("MaxPool2d(k={}, s={})", self.kernel, self.stride)
     }
 }
 
@@ -193,8 +178,8 @@ impl Layer for MaxPool2d {
 pub struct SppLayer {
     /// Pyramid bin counts, e.g. `[4, 2, 1]` for the paper's `SPP_{4,2,1}`.
     pub levels: Vec<usize>,
-    saved: Vec<AdaptiveMaxIndices>,
-    input_shape: Option<Shape>,
+    saved: Vec<MaxIndices>,
+    input_dims: Option<[usize; 4]>,
 }
 
 impl SppLayer {
@@ -206,7 +191,7 @@ impl SppLayer {
         SppLayer {
             levels,
             saved: Vec::new(),
-            input_shape: None,
+            input_dims: None,
         }
     }
 
@@ -214,30 +199,44 @@ impl SppLayer {
     pub fn out_features(&self, channels: usize) -> usize {
         channels * self.levels.iter().map(|l| l * l).sum::<usize>()
     }
+
+    /// Pools every level with `pool` and concatenates them level-major.
+    fn pyramid(&self, x: &Tensor, mut pool: impl FnMut(usize) -> Tensor) -> Tensor {
+        let n = x.dims()[0];
+        let parts: Vec<Tensor> = self
+            .levels
+            .iter()
+            .map(|&level| {
+                let y = pool(level);
+                let f = y.numel() / n;
+                y.reshape([n, f])
+            })
+            .collect();
+        let refs: Vec<&Tensor> = parts.iter().collect();
+        Tensor::concat(&refs, 1)
+    }
 }
 
 impl Layer for SppLayer {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (n, _, _, _) = x.shape().nchw();
-        self.input_shape = Some(x.shape().clone());
-        self.saved.clear();
-        let mut parts = Vec::with_capacity(self.levels.len());
-        for &level in &self.levels {
+        let (n, c, h, w) = x.shape().nchw();
+        self.input_dims = Some([n, c, h, w]);
+        let mut saved = Vec::with_capacity(self.levels.len());
+        let y = self.pyramid(x, |level| {
             let (y, ix) = adaptive_max_pool2d(x, level);
-            self.saved.push(ix);
-            let f = y.numel() / n;
-            parts.push(y.reshape([n, f]));
-        }
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        Tensor::concat(&refs, 1)
+            saved.push(ix);
+            y
+        });
+        self.saved = saved;
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.pyramid(x, |level| adaptive_max_pool2d_values(x, level))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self
-            .input_shape
-            .as_ref()
-            .expect("SppLayer::backward before forward");
-        let (n, c, h, w) = shape.nchw();
+        let [n, c, h, w] = self.input_dims.expect("SppLayer::backward before forward");
         let mut gx = Tensor::zeros([n, c, h, w]);
         let mut col = 0usize;
         let total_cols = grad_out.dims()[1];
@@ -249,7 +248,7 @@ impl Layer for SppLayer {
                 let src = &grad_out.data()[s * total_cols + col..s * total_cols + col + f];
                 g.data_mut()[s * f..(s + 1) * f].copy_from_slice(src);
             }
-            let gpart = adaptive_max_pool2d_backward(&g, &self.saved[li]);
+            let gpart = max_pool2d_backward(&g, &self.saved[li]);
             gx.axpy(1.0, &gpart);
             col += f;
         }
@@ -258,42 +257,6 @@ impl Layer for SppLayer {
 
     fn name(&self) -> String {
         format!("SPP{:?}", self.levels)
-    }
-}
-
-// ------------------------------------------------------------------ Flatten
-
-/// Flattens `[N, ...]` to `[N, F]`, remembering the original shape.
-#[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    input_shape: Option<Shape>,
-}
-
-impl Flatten {
-    /// A fresh flatten layer.
-    pub fn new() -> Self {
-        Flatten::default()
-    }
-}
-
-impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.input_shape = Some(x.shape().clone());
-        let n = x.dims()[0];
-        let f = x.numel() / n;
-        x.clone().reshape([n, f])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self
-            .input_shape
-            .clone()
-            .expect("Flatten::backward before forward");
-        grad_out.clone().reshape(shape)
-    }
-
-    fn name(&self) -> String {
-        "Flatten".into()
     }
 }
 
@@ -336,6 +299,10 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         self.cached_input = Some(x.clone());
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let (m, k) = x.shape().matrix();
         assert_eq!(k, self.in_features(), "Linear: input features mismatch");
         let y = dcd_tensor::gemm_bias(
@@ -387,14 +354,10 @@ impl Layer for Linear {
 
 // --------------------------------------------------------------- Sequential
 
-/// A chain of boxed layers, for tests and generic models.
-///
-/// [`crate::SppNet`] wires its layers explicitly instead (it needs
-/// branch-level access for IOS lowering), but `Sequential` is convenient for
-/// baselines and unit tests.
+/// A chain of boxed layers — [`crate::SppNet`]'s trunk.
 #[derive(Default)]
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer + Send>>,
+    layers: Vec<Box<dyn Layer + Send + Sync>>,
 }
 
 impl Sequential {
@@ -404,7 +367,7 @@ impl Sequential {
     }
 
     /// Appends a layer (builder style).
-    pub fn push(mut self, layer: impl Layer + Send + 'static) -> Self {
+    pub fn push(mut self, layer: impl Layer + Send + Sync + 'static) -> Self {
         self.layers.push(Box::new(layer));
         self
     }
@@ -422,19 +385,31 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
+        match self.layers.split_first_mut() {
+            None => x.clone(),
+            Some((first, rest)) => rest
+                .iter_mut()
+                .fold(first.forward(x), |cur, layer| layer.forward(&cur)),
         }
-        cur
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        match self.layers.split_first() {
+            None => x.clone(),
+            Some((first, rest)) => rest
+                .iter()
+                .fold(first.infer(x), |cur, layer| layer.infer(&cur)),
+        }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut cur = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
+        match self.layers.split_last_mut() {
+            None => grad_out.clone(),
+            Some((last, rest)) => rest
+                .iter_mut()
+                .rev()
+                .fold(last.backward(grad_out), |cur, layer| layer.backward(&cur)),
         }
-        cur
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -453,35 +428,106 @@ impl Layer for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcd_tensor::grad_check::numeric_grad;
+    use dcd_tensor::grad_check::{numeric_grad, rel_error};
 
     fn rng() -> SeededRng {
         SeededRng::new(1234)
     }
 
-    #[test]
-    fn conv2d_layer_forward_shape() {
-        let mut r = rng();
-        let mut conv = Conv2d::same(4, 64, 5, &mut r);
-        let x = Tensor::randn([2, 4, 10, 10], 0.0, 1.0, &mut r);
-        let y = conv.forward(&x);
-        assert_eq!(y.dims(), &[2, 64, 10, 10]);
+    /// Asserts two tensors hold the same bits.
+    fn assert_bits_eq(a: &Tensor, b: &Tensor) {
+        assert_eq!(a.dims(), b.dims());
+        for (x, y) in a.data().iter().zip(b.data()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 
     #[test]
-    fn conv2d_layer_backward_accumulates_param_grads() {
+    fn conv_block_forward_shape() {
         let mut r = rng();
-        let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut r);
-        let x = Tensor::randn([1, 1, 5, 5], 0.0, 1.0, &mut r);
-        let y = conv.forward(&x);
-        conv.backward(&Tensor::ones(y.shape().clone()));
-        assert!(conv.weight.grad.sq_norm() > 0.0);
-        assert!(conv.bias.grad.sq_norm() > 0.0);
+        let mut block = ConvBlock::new(4, 64, 5, &mut r);
+        let x = Tensor::randn([2, 4, 10, 10], 0.0, 1.0, &mut r);
+        let y = block.forward(&x);
+        assert_eq!(y.dims(), &[2, 64, 5, 5]);
+    }
+
+    #[test]
+    fn conv_block_backward_accumulates_param_grads() {
+        let mut r = rng();
+        let mut block = ConvBlock::new(1, 2, 3, &mut r);
+        block.bias.value = Tensor::from_vec([2], vec![0.5, 0.5]).unwrap();
+        let x = Tensor::randn([1, 1, 6, 6], 0.0, 1.0, &mut r);
+        let y = block.forward(&x);
+        block.backward(&Tensor::ones(y.shape().clone()));
+        assert!(block.weight.grad.sq_norm() > 0.0);
+        assert!(block.bias.grad.sq_norm() > 0.0);
         // Second backward accumulates (does not overwrite).
-        let g1 = conv.weight.grad.clone();
-        conv.forward(&x);
-        conv.backward(&Tensor::ones(y.shape().clone()));
-        assert!(conv.weight.grad.max_abs_diff(&g1.scale(2.0)) < 1e-4);
+        let g1 = block.weight.grad.clone();
+        block.forward(&x);
+        block.backward(&Tensor::ones(y.shape().clone()));
+        assert!(block.weight.grad.max_abs_diff(&g1.scale(2.0)) < 1e-4);
+    }
+
+    #[test]
+    fn conv_block_backward_matches_numeric() {
+        let mut r = SeededRng::new(8);
+        let mut block = ConvBlock::new(2, 3, 3, &mut r);
+        block.bias.value = Tensor::from_vec([3], vec![0.3, -0.2, 0.1]).unwrap();
+        let x = Tensor::randn([2, 2, 6, 6], 0.0, 1.0, &mut r);
+        let y = block.forward(&x);
+        let gx = block.backward(&Tensor::ones(y.shape().clone()));
+
+        let frozen = block.clone();
+        let num = numeric_grad(&x, 1e-3, |xp| frozen.infer(xp).sum());
+        assert!(
+            rel_error(&gx, &num) < 1e-2,
+            "input {}",
+            rel_error(&gx, &num)
+        );
+        let num_w = numeric_grad(&block.weight.value, 1e-3, |wp| {
+            let mut b = frozen.clone();
+            b.weight.value = wp.clone();
+            b.infer(&x).sum()
+        });
+        let err = rel_error(&block.weight.grad, &num_w);
+        assert!(err < 1e-2, "weight {err}");
+        let num_b = numeric_grad(&block.bias.value, 1e-3, |bp| {
+            let mut b = frozen.clone();
+            b.bias.value = bp.clone();
+            b.infer(&x).sum()
+        });
+        let err = rel_error(&block.bias.grad, &num_b);
+        assert!(err < 1e-2, "bias {err}");
+    }
+
+    #[test]
+    fn conv_block_is_conv_relu_pool() {
+        let mut r = rng();
+        let mut block = ConvBlock::new(3, 4, 3, &mut r);
+        block.bias.value = Tensor::randn([4], 0.0, 0.5, &mut r);
+        let x = Tensor::randn([2, 3, 9, 9], 0.0, 1.0, &mut r);
+        let conv = dcd_tensor::conv2d(&x, &block.weight.value, &block.bias.value, 1, 1);
+        let (want, _) = max_pool2d(&conv.map(|v| v.max(0.0)), 2, 2);
+        let y = block.forward(&x);
+        assert!(y.max_abs_diff(&want) == 0.0);
+        assert_bits_eq(&y, &block.infer(&x));
+    }
+
+    #[test]
+    fn every_layer_infers_what_it_forwards() {
+        let mut r = rng();
+        let x4 = Tensor::randn([2, 3, 8, 8], 0.0, 1.0, &mut r);
+        let x2 = Tensor::randn([3, 6], 0.0, 1.0, &mut r);
+        let mut layers: Vec<(Box<dyn Layer>, &Tensor)> = vec![
+            (Box::new(ConvBlock::new(3, 2, 3, &mut r)), &x4),
+            (Box::new(SppLayer::new([3, 1])), &x4),
+            (Box::new(Linear::new(6, 4, &mut r)), &x2),
+            (Box::new(Relu::new()), &x2),
+        ];
+        for (layer, x) in &mut layers {
+            let y = layer.forward(x);
+            assert_bits_eq(&y, &layer.infer(x));
+        }
     }
 
     #[test]
@@ -577,28 +623,16 @@ mod tests {
     }
 
     #[test]
-    fn flatten_roundtrip() {
-        let mut fl = Flatten::new();
-        let x = Tensor::from_vec([2, 2, 2], (0..8).map(|v| v as f32).collect()).unwrap();
-        let y = fl.forward(&x);
-        assert_eq!(y.dims(), &[2, 4]);
-        let gx = fl.backward(&y);
-        assert_eq!(gx.dims(), x.dims());
-        assert_eq!(gx.data(), x.data());
-    }
-
-    #[test]
     fn sequential_chains_and_exposes_params() {
         let mut r = rng();
         let mut net = Sequential::new()
-            .push(Conv2d::same(1, 4, 3, &mut r))
-            .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
-            .push(Flatten::new())
-            .push(Linear::new(4 * 4 * 4, 2, &mut r));
+            .push(ConvBlock::new(1, 4, 3, &mut r))
+            .push(SppLayer::new([2, 1]))
+            .push(Linear::new(4 * 5, 2, &mut r));
         let x = Tensor::randn([3, 1, 8, 8], 0.0, 1.0, &mut r);
         let y = net.forward(&x);
         assert_eq!(y.dims(), &[3, 2]);
+        assert_bits_eq(&y, &net.infer(&x));
         assert_eq!(net.params_mut().len(), 4); // conv w+b, linear w+b
         let gx = net.backward(&Tensor::ones([3, 2]));
         assert_eq!(gx.dims(), x.dims());
@@ -607,33 +641,23 @@ mod tests {
     #[test]
     fn sequential_end_to_end_gradient_check() {
         let mut r = rng();
-        let conv = Conv2d::same(1, 2, 3, &mut r);
-        let lin = Linear::new(2 * 4, 1, &mut r);
-        let x = Tensor::randn([1, 1, 2, 2], 0.0, 1.0, &mut r);
-
-        // Build twice with identical weights: once for analytic, once inside
-        // the numeric closure.
         let mut net = Sequential::new()
-            .push(conv.clone())
+            .push(ConvBlock::new(1, 2, 3, &mut r))
+            .push(SppLayer::new([1]))
+            .push(Linear::new(2, 3, &mut r))
             .push(Relu::new())
-            .push(Flatten::new())
-            .push(lin.clone());
+            .push(Linear::new(3, 1, &mut r));
+        let x = Tensor::randn([1, 1, 4, 4], 0.0, 1.0, &mut r);
         let y = net.forward(&x);
         let gx = net.backward(&Tensor::ones(y.shape().clone()));
 
-        let num = numeric_grad(&x, 1e-2, |xp| {
-            let mut net2 = Sequential::new()
-                .push(conv.clone())
-                .push(Relu::new())
-                .push(Flatten::new())
-                .push(lin.clone());
-            net2.forward(xp).sum()
-        });
+        let num = numeric_grad(&x, 1e-2, |xp| net.infer(xp).sum());
         assert!(
             gx.max_abs_diff(&num) < 0.05,
             "diff {}",
             gx.max_abs_diff(&num)
         );
+        assert!(gx.sq_norm() > 0.0);
     }
 
     #[test]

@@ -12,14 +12,11 @@
 //! `∈ {128, 256, 512, 1024, 2048, 4096, 8192}`.
 
 use crate::detect::Detection;
-use crate::layers::{Conv2d, Layer, Linear, MaxPool2d, Relu, SppLayer};
+use crate::layers::{ConvBlock, Layer, Linear, Relu, Sequential, SppLayer};
 use crate::loss::sigmoid;
 use crate::param::Param;
 use crate::BBox;
-use dcd_tensor::{
-    adaptive_max_pool2d_values, conv2d_relu, gemm_bias, gemm_bias_relu, max_pool2d_values,
-    SeededRng, Tensor,
-};
+use dcd_tensor::{SeededRng, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Sizes explored for the fully-connected layers (§4.2).
@@ -152,24 +149,28 @@ pub struct DetectionOutput {
     pub boxes: Tensor,
 }
 
-/// The SPP-Net model: three conv blocks, an SPP layer and an FC trunk with
-/// objectness + box heads.
+impl DetectionOutput {
+    /// Packs the two head outputs (`[N, 1]` objectness, `[N, 4]` boxes).
+    fn from_heads(obj: Tensor, boxes: Tensor) -> Self {
+        let n = obj.dims()[0];
+        DetectionOutput {
+            obj_logits: obj.reshape([n]),
+            boxes,
+        }
+    }
+}
+
+/// The SPP-Net model: one trunk (three conv blocks, the SPP layer and the
+/// FC layers with their ReLUs) feeding objectness and box heads.
+///
+/// Training ([`SppNet::forward`]) and inference
+/// ([`SppNet::forward_inference`]) walk the same layers and differ only in
+/// calling [`Layer::forward`] or [`Layer::infer`], so their outputs are
+/// bit-identical.
 pub struct SppNet {
     /// The hyper-parameters this instance was built from.
     pub config: SppNetConfig,
-    conv1: Conv2d,
-    relu1: Relu,
-    pool1: MaxPool2d,
-    conv2: Conv2d,
-    relu2: Relu,
-    pool2: MaxPool2d,
-    conv3: Conv2d,
-    relu3: Relu,
-    pool3: MaxPool2d,
-    spp: SppLayer,
-    fc1: Linear,
-    fc1_relu: Relu,
-    fc2: Option<(Linear, Relu)>,
+    trunk: Sequential,
     head_obj: Linear,
     head_box: Linear,
 }
@@ -178,12 +179,10 @@ impl SppNet {
     /// Builds a freshly initialized model.
     pub fn new(config: SppNetConfig, rng: &mut SeededRng) -> Self {
         let [c1, c2, c3] = config.channels;
-        let spp = SppLayer::new(config.spp_levels());
-        let spp_features = config.spp_features();
-        let fc1 = Linear::new(spp_features, config.fc1, rng);
-        let fc2 = config
-            .fc2
-            .map(|f2| (Linear::new(config.fc1, f2, rng), Relu::new()));
+        // The draw order (fc1, fc2, box head, convs, objectness head) fixes
+        // the weights a seed gives; keep it.
+        let fc1 = Linear::new(config.spp_features(), config.fc1, rng);
+        let fc2 = config.fc2.map(|f2| Linear::new(config.fc1, f2, rng));
         let trunk_out = config.fc2.unwrap_or(config.fc1);
         // Box-head prior: start from a centred, culvert-sized box with
         // near-zero weights (the detectron-style regression-head init), so
@@ -192,52 +191,50 @@ impl SppNet {
         let mut head_box = Linear::new(trunk_out, 4, rng);
         head_box.weight.value = Tensor::randn([trunk_out, 4], 0.0, 1e-3, rng);
         head_box.bias.value = Tensor::from_vec([4], vec![0.5, 0.5, 0.2, 0.2]).expect("prior");
+        let mut trunk = Sequential::new()
+            .push(ConvBlock::new(
+                config.in_channels,
+                c1,
+                config.conv1_kernel,
+                rng,
+            ))
+            .push(ConvBlock::new(c1, c2, 3, rng))
+            .push(ConvBlock::new(c2, c3, 3, rng))
+            .push(SppLayer::new(config.spp_levels()))
+            .push(fc1)
+            .push(Relu::new());
+        if let Some(fc2) = fc2 {
+            trunk = trunk.push(fc2).push(Relu::new());
+        }
         SppNet {
-            conv1: Conv2d::same(config.in_channels, c1, config.conv1_kernel, rng),
-            relu1: Relu::new(),
-            pool1: MaxPool2d::new(2, 2),
-            conv2: Conv2d::same(c1, c2, 3, rng),
-            relu2: Relu::new(),
-            pool2: MaxPool2d::new(2, 2),
-            conv3: Conv2d::same(c2, c3, 3, rng),
-            relu3: Relu::new(),
-            pool3: MaxPool2d::new(2, 2),
-            spp,
-            fc1,
-            fc1_relu: Relu::new(),
-            fc2,
+            trunk,
             head_obj: Linear::new(trunk_out, 1, rng),
             head_box,
             config,
         }
     }
 
-    /// Forward pass producing objectness logits and box regressions.
+    /// Training forward pass producing objectness logits and box
+    /// regressions; records what [`SppNet::backward`] needs.
     pub fn forward(&mut self, x: &Tensor) -> DetectionOutput {
         let _span = dcd_obs::span("sppnet.forward", dcd_obs::Category::Nn);
-        let n = x.dims()[0];
-        let mut cur = self.conv1.forward(x);
-        cur = self.relu1.forward(&cur);
-        cur = self.pool1.forward(&cur);
-        cur = self.conv2.forward(&cur);
-        cur = self.relu2.forward(&cur);
-        cur = self.pool2.forward(&cur);
-        cur = self.conv3.forward(&cur);
-        cur = self.relu3.forward(&cur);
-        cur = self.pool3.forward(&cur);
-        cur = self.spp.forward(&cur);
-        cur = self.fc1.forward(&cur);
-        cur = self.fc1_relu.forward(&cur);
-        if let Some((fc2, relu)) = &mut self.fc2 {
-            cur = fc2.forward(&cur);
-            cur = relu.forward(&cur);
-        }
-        let obj = self.head_obj.forward(&cur).reshape([n]);
-        let boxes = self.head_box.forward(&cur);
-        DetectionOutput {
-            obj_logits: obj,
-            boxes,
-        }
+        let features = self.trunk.forward(x);
+        DetectionOutput::from_heads(
+            self.head_obj.forward(&features),
+            self.head_box.forward(&features),
+        )
+    }
+
+    /// Inference-only forward pass: the same layers as [`SppNet::forward`]
+    /// through [`Layer::infer`], so it needs only `&self`, records no
+    /// backward state and returns bit-identical outputs.
+    pub fn forward_inference(&self, x: &Tensor) -> DetectionOutput {
+        let _span = dcd_obs::span("sppnet.forward_inference", dcd_obs::Category::Nn);
+        let features = self.trunk.infer(x);
+        DetectionOutput::from_heads(
+            self.head_obj.infer(&features),
+            self.head_box.infer(&features),
+        )
     }
 
     /// Backward pass from head gradients; returns `d loss / d input`.
@@ -245,35 +242,13 @@ impl SppNet {
         let n = grad_obj.dims()[0];
         let g_obj = self.head_obj.backward(&grad_obj.clone().reshape([n, 1]));
         let g_box = self.head_box.backward(grad_box);
-        let mut cur = g_obj.add(&g_box);
-        if let Some((fc2, relu)) = &mut self.fc2 {
-            cur = relu.backward(&cur);
-            cur = fc2.backward(&cur);
-        }
-        cur = self.fc1_relu.backward(&cur);
-        cur = self.fc1.backward(&cur);
-        cur = self.spp.backward(&cur);
-        cur = self.pool3.backward(&cur);
-        cur = self.relu3.backward(&cur);
-        cur = self.conv3.backward(&cur);
-        cur = self.pool2.backward(&cur);
-        cur = self.relu2.backward(&cur);
-        cur = self.conv2.backward(&cur);
-        cur = self.pool1.backward(&cur);
-        cur = self.relu1.backward(&cur);
-        self.conv1.backward(&cur)
+        self.trunk.backward(&g_obj.add(&g_box))
     }
 
-    /// All trainable parameters.
+    /// All trainable parameters: conv blocks, FC layers, then the
+    /// objectness and box heads (the [`crate::Checkpoint`] order).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params = Vec::new();
-        params.extend(self.conv1.params_mut());
-        params.extend(self.conv2.params_mut());
-        params.extend(self.conv3.params_mut());
-        params.extend(self.fc1.params_mut());
-        if let Some((fc2, _)) = &mut self.fc2 {
-            params.extend(fc2.params_mut());
-        }
+        let mut params = self.trunk.params_mut();
         params.extend(self.head_obj.params_mut());
         params.extend(self.head_box.params_mut());
         params
@@ -282,80 +257,6 @@ impl SppNet {
     /// Total scalar parameter count.
     pub fn num_params(&mut self) -> usize {
         self.params_mut().iter().map(|p| p.numel()).sum()
-    }
-
-    /// Inference-only forward pass.
-    ///
-    /// Uses the fused kernels — `conv+bias+ReLU` in one GEMM epilogue,
-    /// values-only pooling (no argmax bookkeeping), `Linear+ReLU` in one
-    /// pass — and caches nothing, so it needs only `&self` and allocates no
-    /// backward state. Numerically identical to [`SppNet::forward`]: the
-    /// fused ReLU yields `+0.0` where the mask path yields `-0.0`, which no
-    /// downstream comparison, sum or sigmoid can distinguish.
-    pub fn forward_inference(&self, x: &Tensor) -> DetectionOutput {
-        let _span = dcd_obs::span("sppnet.forward_inference", dcd_obs::Category::Nn);
-        let n = x.dims()[0];
-        let conv = |layer: &Conv2d, x: &Tensor| {
-            conv2d_relu(
-                x,
-                &layer.weight.value,
-                &layer.bias.value,
-                layer.stride,
-                layer.pad,
-            )
-        };
-        let mut cur = conv(&self.conv1, x);
-        cur = max_pool2d_values(&cur, self.pool1.kernel, self.pool1.stride);
-        cur = conv(&self.conv2, &cur);
-        cur = max_pool2d_values(&cur, self.pool2.kernel, self.pool2.stride);
-        cur = conv(&self.conv3, &cur);
-        cur = max_pool2d_values(&cur, self.pool3.kernel, self.pool3.stride);
-        // SPP pyramid, values only.
-        let mut parts = Vec::with_capacity(self.spp.levels.len());
-        for &level in &self.spp.levels {
-            let y = adaptive_max_pool2d_values(&cur, level);
-            let f = y.numel() / n;
-            parts.push(y.reshape([n, f]));
-        }
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        cur = Tensor::concat(&refs, 1);
-        // FC trunk with the bias+ReLU epilogue fused into the GEMM.
-        let fc_relu = |l: &Linear, x: &Tensor| {
-            let (m, k) = x.shape().matrix();
-            let nf = l.out_features();
-            let y = gemm_bias_relu(
-                x.data(),
-                l.weight.value.data(),
-                l.bias.value.data(),
-                m,
-                k,
-                nf,
-            );
-            Tensor::from_vec([m, nf], y).expect("fc output")
-        };
-        cur = fc_relu(&self.fc1, &cur);
-        if let Some((fc2, _)) = &self.fc2 {
-            cur = fc_relu(fc2, &cur);
-        }
-        let head = |l: &Linear, x: &Tensor| {
-            let (m, k) = x.shape().matrix();
-            let nf = l.out_features();
-            let y = gemm_bias(
-                x.data(),
-                l.weight.value.data(),
-                l.bias.value.data(),
-                m,
-                k,
-                nf,
-            );
-            Tensor::from_vec([m, nf], y).expect("head output")
-        };
-        let obj = head(&self.head_obj, &cur).reshape([n]);
-        let boxes = head(&self.head_box, &cur);
-        DetectionOutput {
-            obj_logits: obj,
-            boxes,
-        }
     }
 
     /// Runs inference on a batch and decodes per-image detections.
@@ -374,6 +275,8 @@ impl SppNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Checkpoint;
+    use dcd_tensor::grad_check::numeric_grad;
 
     fn rng() -> SeededRng {
         SeededRng::new(99)
@@ -446,6 +349,44 @@ mod tests {
     }
 
     #[test]
+    fn backward_matches_numeric_gradient() {
+        // d/dx and d/dθ of Σ obj_logits + Σ boxes against central
+        // differences through the inference path. The error is an L2 norm
+        // over the whole gradient: a max-pool winner flipping within ±eps
+        // spoils a single element, a wrong backward spoils many. f32
+        // rounding in the differences alone reaches about 1% here.
+        let mut r = SeededRng::new(3);
+        let mut cfg = SppNetConfig::tiny();
+        cfg.fc2 = Some(16);
+        let mut net = SppNet::new(cfg, &mut r);
+        let x = Tensor::randn([2, 1, 12, 12], 0.0, 1.0, &mut r);
+        let total = |net: &SppNet, x: &Tensor| {
+            let out = net.forward_inference(x);
+            out.obj_logits.sum() + out.boxes.sum()
+        };
+        let l2_error = |analytic: &Tensor, numeric: &Tensor| {
+            analytic.sub(numeric).sq_norm().sqrt() / (1.0 + numeric.sq_norm().sqrt())
+        };
+        net.forward(&x);
+        let gx = net.backward(&Tensor::ones([2]), &Tensor::ones([2, 4]));
+        let num = numeric_grad(&x, 1e-3, |xp| total(&net, xp));
+        let err = l2_error(&gx, &num);
+        assert!(err < 3e-2, "input gradient error {err}");
+
+        let ckpt = Checkpoint::save(&mut net);
+        let grads: Vec<Tensor> = net.params_mut().iter().map(|p| p.grad.clone()).collect();
+        for (i, grad) in grads.iter().enumerate() {
+            let num = numeric_grad(&ckpt.params[i], 1e-3, |value| {
+                let mut probe = ckpt.clone();
+                probe.params[i] = value.clone();
+                total(&probe.load().expect("same config"), &x)
+            });
+            let err = l2_error(grad, &num);
+            assert!(err < 3e-2, "param {i} gradient error {err}");
+        }
+    }
+
+    #[test]
     fn fc2_adds_a_trunk_layer() {
         let mut r = rng();
         let mut cfg = SppNetConfig::tiny();
@@ -481,9 +422,9 @@ mod tests {
         let x = Tensor::randn([3, 1, 20, 20], 0.0, 1.0, &mut r);
         let train = net.forward(&x);
         let infer = net.forward_inference(&x);
-        // `==` tolerates the fused ReLU's +0.0 vs the mask path's -0.0.
-        assert_eq!(train.obj_logits.data(), infer.obj_logits.data());
-        assert_eq!(train.boxes.data(), infer.boxes.data());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&train.obj_logits), bits(&infer.obj_logits));
+        assert_eq!(bits(&train.boxes), bits(&infer.boxes));
     }
 
     #[test]

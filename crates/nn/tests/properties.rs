@@ -1,10 +1,10 @@
 //! Property-based tests of the neural-network layer invariants.
 
-use dcd_nn::layers::{Conv2d, Layer, Linear, MaxPool2d, Relu, SppLayer};
+use dcd_nn::layers::{ConvBlock, Layer, Linear, Relu, SppLayer};
 use dcd_nn::loss::{bce_with_logits, smooth_l1, softmax_cross_entropy};
 use dcd_nn::metrics::{average_precision, iou};
 use dcd_nn::{BBox, SppNet, SppNetConfig};
-use dcd_tensor::{SeededRng, Tensor};
+use dcd_tensor::{conv2d, max_pool2d_values, SeededRng, Tensor};
 use proptest::prelude::*;
 
 proptest! {
@@ -20,7 +20,8 @@ proptest! {
             prop_assert!(v >= 0.0);
         }
         let mut relu2 = Relu::new();
-        prop_assert_eq!(relu2.forward(&y), y);
+        prop_assert_eq!(relu2.forward(&y), y.clone());
+        prop_assert_eq!(relu.infer(&y), y);
     }
 
     #[test]
@@ -54,10 +55,8 @@ proptest! {
         let x = Tensor::randn([1, 1, h, h], 0.0, 1.0, &mut rng);
         let bump = Tensor::uniform([1, 1, h, h], 0.0, 1.0, &mut rng);
         let y = x.add(&bump);
-        let mut p1 = MaxPool2d::new(2, 1);
-        let mut p2 = MaxPool2d::new(2, 1);
-        let px = p1.forward(&x);
-        let py = p2.forward(&y);
+        let px = max_pool2d_values(&x, 2, 1);
+        let py = max_pool2d_values(&y, 2, 1);
         for (a, b) in px.data().iter().zip(py.data().iter()) {
             prop_assert!(a <= b);
         }
@@ -66,12 +65,20 @@ proptest! {
     #[test]
     fn conv_zero_input_gives_bias_map(seed in 0u64..10_000) {
         let mut rng = SeededRng::new(seed);
-        let mut conv = Conv2d::same(2, 3, 3, &mut rng);
-        conv.bias.value = Tensor::from_vec([3], vec![0.5, -1.0, 2.0]).unwrap();
-        let y = conv.forward(&Tensor::zeros([1, 2, 5, 5]));
+        let mut block = ConvBlock::new(2, 3, 3, &mut rng);
+        block.bias.value = Tensor::from_vec([3], vec![0.5, -1.0, 2.0]).unwrap();
+        let zeros = Tensor::zeros([1, 2, 5, 5]);
+        let y = conv2d(&zeros, &block.weight.value, &block.bias.value, 1, block.pad());
         for co in 0..3 {
             for s in 0..25 {
-                prop_assert_eq!(y.data()[co * 25 + s], conv.bias.value.data()[co]);
+                prop_assert_eq!(y.data()[co * 25 + s], block.bias.value.data()[co]);
+            }
+        }
+        // Through the block: ReLU of the bias, pooled to 2×2.
+        let pooled = block.forward(&zeros);
+        for co in 0..3 {
+            for s in 0..4 {
+                prop_assert_eq!(pooled.data()[co * 4 + s], block.bias.value.data()[co].max(0.0));
             }
         }
     }

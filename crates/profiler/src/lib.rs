@@ -19,9 +19,6 @@
 //! `dcd-obs`) adds a host section to the text report and unlocks
 //! [`ProfileReport::chrome_trace`]: a merged host+device timeline in
 //! Chrome-trace JSON that loads directly in [Perfetto](https://ui.perfetto.dev).
-//!
-//! The original free functions (`api_report`, `render_stats`, …) remain as
-//! `#[deprecated]` wrappers for one release cycle.
 
 pub mod merge;
 pub mod report;
@@ -30,11 +27,5 @@ pub mod timeline;
 pub use merge::{
     ChromeArgs, ChromeEvent, ChromeTrace, API_TID, DEVICE_PID, DMA_TID, FAULT_TID, HOST_PID,
 };
-#[allow(deprecated)]
-pub use report::{
-    api_pct, api_report, fault_report, kernel_pct, kernel_report, memop_report, render_stats,
-};
 pub use report::{ApiUsage, FaultCount, HostOpStats, KernelShare, MemopStats, ProfileReport};
-#[allow(deprecated)]
-pub use timeline::timeline;
 pub use timeline::TimelineStats;

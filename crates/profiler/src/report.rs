@@ -206,9 +206,7 @@ fn compute_host_ops(spans: &[SpanRecord]) -> Vec<HostOpStats> {
 
 /// All of the paper's §7 profiling views over one device trace — and,
 /// optionally, the host spans recorded alongside it — behind typed
-/// accessors. This is the single entry point for profile analysis; the
-/// module-level free functions it replaced survive only as `#[deprecated]`
-/// wrappers.
+/// accessors. This is the single entry point for profile analysis.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
     device: Trace,
@@ -389,76 +387,6 @@ impl ProfileReport {
         }
         out
     }
-}
-
-/// Computes per-API usage, sorted by descending total time (Fig 8).
-#[deprecated(since = "0.1.0", note = "use ProfileReport::from_trace(trace).api()")]
-pub fn api_report(trace: &Trace) -> Vec<ApiUsage> {
-    compute_api(trace)
-}
-
-/// Share of a named API in the trace's API timeline, in percent.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ProfileReport::from_trace(trace).api_pct(kind)"
-)]
-pub fn api_pct(trace: &Trace, kind: ApiKind) -> f64 {
-    compute_api(trace)
-        .into_iter()
-        .find(|r| r.kind == kind)
-        .map(|r| r.pct)
-        .unwrap_or(0.0)
-}
-
-/// Computes DMA statistics over a trace.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ProfileReport::from_trace(trace).memops()"
-)]
-pub fn memop_report(trace: &Trace) -> MemopStats {
-    compute_memops(trace)
-}
-
-/// Computes kernel-class shares (Table 3), sorted by descending time.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ProfileReport::from_trace(trace).kernels()"
-)]
-pub fn kernel_report(trace: &Trace) -> Vec<KernelShare> {
-    compute_kernels(trace)
-}
-
-/// Share of one kernel class, in percent of total kernel time.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ProfileReport::from_trace(trace).kernel_pct(class)"
-)]
-pub fn kernel_pct(trace: &Trace, class: KernelClass) -> f64 {
-    compute_kernels(trace)
-        .into_iter()
-        .find(|r| r.kind == class)
-        .map(|r| r.pct)
-        .unwrap_or(0.0)
-}
-
-/// Aggregates injected-fault records by category, sorted by descending
-/// count. Empty for a healthy (or fault-free) run.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ProfileReport::from_trace(trace).faults()"
-)]
-pub fn fault_report(trace: &Trace) -> Vec<FaultCount> {
-    compute_faults(trace)
-}
-
-/// Renders the three views as a text report shaped like
-/// `nsys profile --stats=true`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ProfileReport::from_trace(trace).render()"
-)]
-pub fn render_stats(trace: &Trace) -> String {
-    ProfileReport::from_trace(trace).render()
 }
 
 #[cfg(test)]
@@ -710,28 +638,6 @@ mod tests {
     fn without_host_spans_render_omits_host_section() {
         let s = ProfileReport::from_trace(&sample_trace()).render();
         assert!(!s.contains("Host Span Summary"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_report() {
-        // The legacy free functions must stay bit-identical to the new
-        // accessors until they are removed.
-        let t = sample_trace();
-        let report = ProfileReport::from_trace(&t);
-        assert_eq!(api_report(&t), report.api());
-        assert_eq!(&memop_report(&t), report.memops());
-        assert_eq!(kernel_report(&t), report.kernels());
-        assert_eq!(fault_report(&t), report.faults());
-        assert_eq!(render_stats(&t), report.render());
-        assert_eq!(
-            api_pct(&t, ApiKind::LaunchKernel),
-            report.api_pct(ApiKind::LaunchKernel)
-        );
-        assert_eq!(
-            kernel_pct(&t, KernelClass::Gemm),
-            report.kernel_pct(KernelClass::Gemm)
-        );
     }
 
     #[test]

@@ -34,14 +34,6 @@ pub struct TimelineStats {
 /// Computes the kernel-timeline statistics of a trace.
 ///
 /// Returns `None` if the trace contains no kernel records.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ProfileReport::from_trace(trace).timeline()"
-)]
-pub fn timeline(trace: &Trace) -> Option<TimelineStats> {
-    compute(trace)
-}
-
 pub(crate) fn compute(trace: &Trace) -> Option<TimelineStats> {
     let mut events: Vec<(u64, i64)> = Vec::new(); // (time, +1/-1)
     let mut per_stream: HashMap<usize, u64> = HashMap::new();

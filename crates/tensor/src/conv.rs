@@ -320,12 +320,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, stride: usize, pad
     conv2d_fused(input, weight, bias, stride, pad, false)
 }
 
-/// [`conv2d`] with a fused `max(0, ·)` — the inference fast path for
-/// `Conv → ReLU`, producing the activation without a separate mask pass.
-///
-/// Note the fused clamp maps negative pre-activations to `+0.0` where the
-/// mask-based training path yields `-0.0`; downstream arithmetic and
-/// comparisons are unaffected.
+/// [`conv2d`] with a fused `max(0, ·)`: `Conv → ReLU` in one pass, with no
+/// separate activation sweep. Negative pre-activations map to `+0.0`.
 pub fn conv2d_relu(
     input: &Tensor,
     weight: &Tensor,

@@ -845,8 +845,7 @@ pub fn gemm_bias(a: &[f32], b: &[f32], bias: &[f32], m: usize, k: usize, n: usiz
     c
 }
 
-/// [`gemm_bias`] with a fused `max(0, ·)` — the inference fast path for
-/// `Linear → ReLU`, skipping the separate mask pass entirely.
+/// [`gemm_bias`] with a fused `max(0, ·)`: `Linear → ReLU` in one pass.
 pub fn gemm_bias_relu(
     a: &[f32],
     b: &[f32],

@@ -30,9 +30,8 @@ pub use gemm::{
     gemm_legacy, gemm_packed, matmul, Epilogue, PackedLhs, Trans,
 };
 pub use pool::{
-    adaptive_avg_pool2d, adaptive_avg_pool2d_backward, adaptive_max_pool2d,
-    adaptive_max_pool2d_backward, adaptive_max_pool2d_values, max_pool2d, max_pool2d_backward,
-    max_pool2d_values, AdaptiveMaxIndices, MaxIndices,
+    adaptive_max_pool2d, adaptive_max_pool2d_values, max_pool2d, max_pool2d_backward,
+    max_pool2d_values, MaxIndices,
 };
 pub use rng::SeededRng;
 pub use shape::{Shape, ShapeError};

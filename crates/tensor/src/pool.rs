@@ -5,12 +5,18 @@
 //! input's spatial size, producing a fixed-length representation (He et al.,
 //! TPAMI 2015). Adaptive bins follow the PyTorch convention:
 //! `start = floor(i·H / k)`, `end = ceil((i+1)·H / k)`.
+//!
+//! Fixed and adaptive pools, with or without argmax bookkeeping, all run one
+//! kernel (`window_max`); the public functions only pick the window geometry
+//! and whether to record the winners for [`max_pool2d_backward`].
 
 use crate::conv::out_dim;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// Argmax bookkeeping from [`max_pool2d`], consumed by [`max_pool2d_backward`].
+/// Argmax bookkeeping from [`max_pool2d`] or [`adaptive_max_pool2d`],
+/// consumed by [`max_pool2d_backward`].
 #[derive(Debug, Clone)]
 pub struct MaxIndices {
     /// For each output element, the linear index of its source in the input.
@@ -23,95 +29,29 @@ pub struct MaxIndices {
 ///
 /// Returns the pooled tensor and the argmax indices needed for backprop.
 pub fn max_pool2d(input: &Tensor, kernel: usize, stride: usize) -> (Tensor, MaxIndices) {
-    let (n, c, h, w) = input.shape().nchw();
-    let oh = out_dim(h, kernel, stride, 0);
-    let ow = out_dim(w, kernel, stride, 0);
-    let in_spatial = h * w;
-    let out_spatial = oh * ow;
-    let sample_in = c * in_spatial;
-    let sample_out = c * out_spatial;
-
-    let mut out = vec![0.0f32; n * sample_out];
-    let mut idx = vec![0usize; n * sample_out];
-    out.par_chunks_mut(sample_out)
-        .zip(idx.par_chunks_mut(sample_out))
-        .enumerate()
-        .for_each(|(s, (o, ix))| {
-            let x = &input.data()[s * sample_in..(s + 1) * sample_in];
-            for ci in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_i = 0usize;
-                        for ky in 0..kernel {
-                            let iy = oy * stride + ky;
-                            for kx in 0..kernel {
-                                let ixp = ox * stride + kx;
-                                let lin = ci * in_spatial + iy * w + ixp;
-                                if x[lin] > best {
-                                    best = x[lin];
-                                    best_i = lin;
-                                }
-                            }
-                        }
-                        let olin = ci * out_spatial + oy * ow + ox;
-                        o[olin] = best;
-                        ix[olin] = s * sample_in + best_i;
-                    }
-                }
-            }
-        });
-    (
-        Tensor::from_vec([n, c, oh, ow], out).expect("pool output size"),
-        MaxIndices {
-            indices: idx,
-            input_dims: [n, c, h, w],
-            output_dims: [n, c, oh, ow],
-        },
-    )
+    tracked(input, Windows::Fixed { kernel, stride })
 }
 
 /// [`max_pool2d`] without the argmax bookkeeping — the inference path,
 /// which never backprops, skips the index buffer allocation entirely.
 /// Values are bit-identical to [`max_pool2d`]'s.
 pub fn max_pool2d_values(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
-    let (n, c, h, w) = input.shape().nchw();
-    let oh = out_dim(h, kernel, stride, 0);
-    let ow = out_dim(w, kernel, stride, 0);
-    let in_spatial = h * w;
-    let out_spatial = oh * ow;
-    let sample_in = c * in_spatial;
-    let sample_out = c * out_spatial;
-
-    let mut out = vec![0.0f32; n * sample_out];
-    out.par_chunks_mut(sample_out)
-        .enumerate()
-        .for_each(|(s, o)| {
-            let x = &input.data()[s * sample_in..(s + 1) * sample_in];
-            for ci in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..kernel {
-                            let iy = oy * stride + ky;
-                            for kx in 0..kernel {
-                                let ixp = ox * stride + kx;
-                                let v = x[ci * in_spatial + iy * w + ixp];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                        }
-                        o[ci * out_spatial + oy * ow + ox] = best;
-                    }
-                }
-            }
-        });
-    Tensor::from_vec([n, c, oh, ow], out).expect("pool output size")
+    window_max(input, Windows::Fixed { kernel, stride }, None)
 }
 
-/// Backward pass of [`max_pool2d`]: routes each output gradient to the input
-/// element that won the max.
+/// Adaptive max pooling to an `out × out` grid — one SPP pyramid level.
+pub fn adaptive_max_pool2d(input: &Tensor, out_size: usize) -> (Tensor, MaxIndices) {
+    tracked(input, Windows::Adaptive(out_size))
+}
+
+/// [`adaptive_max_pool2d`] without the argmax bookkeeping (see
+/// [`max_pool2d_values`]). Values are bit-identical to the tracked variant.
+pub fn adaptive_max_pool2d_values(input: &Tensor, out_size: usize) -> Tensor {
+    window_max(input, Windows::Adaptive(out_size), None)
+}
+
+/// Backward pass of [`max_pool2d`] and [`adaptive_max_pool2d`]: routes each
+/// output gradient to the input element that won the max.
 pub fn max_pool2d_backward(grad_out: &Tensor, saved: &MaxIndices) -> Tensor {
     assert_eq!(
         grad_out.dims(),
@@ -126,6 +66,41 @@ pub fn max_pool2d_backward(grad_out: &Tensor, saved: &MaxIndices) -> Tensor {
     Tensor::from_vec([n, c, h, w], gx).expect("pool grad size")
 }
 
+/// Window geometry along both spatial axes.
+#[derive(Debug, Clone, Copy)]
+enum Windows {
+    /// Square `kernel` windows every `stride` elements, no padding.
+    Fixed { kernel: usize, stride: usize },
+    /// `bins` windows per axis covering the input exactly.
+    Adaptive(usize),
+}
+
+impl Windows {
+    /// Output extent for an input extent.
+    fn out_dim(self, input: usize) -> usize {
+        match self {
+            Windows::Fixed { kernel, stride } => out_dim(input, kernel, stride, 0),
+            Windows::Adaptive(bins) => {
+                assert!(bins > 0, "adaptive pool output must be positive");
+                assert!(input >= 1, "adaptive pool needs non-empty spatial dims");
+                bins
+            }
+        }
+    }
+
+    /// Input indices read by output index `o` along an axis of `input`.
+    #[inline]
+    fn range(self, o: usize, input: usize) -> Range<usize> {
+        match self {
+            Windows::Fixed { kernel, stride } => o * stride..o * stride + kernel,
+            Windows::Adaptive(bins) => {
+                let (start, end) = adaptive_bin(o, input, bins);
+                start..end
+            }
+        }
+    }
+}
+
 /// Bin boundaries for adaptive pooling (PyTorch convention).
 #[inline]
 fn adaptive_bin(i: usize, input: usize, bins: usize) -> (usize, usize) {
@@ -134,198 +109,83 @@ fn adaptive_bin(i: usize, input: usize, bins: usize) -> (usize, usize) {
     (start, end.max(start + 1).min(input))
 }
 
-/// Argmax bookkeeping from [`adaptive_max_pool2d`].
-#[derive(Debug, Clone)]
-pub struct AdaptiveMaxIndices {
-    indices: Vec<usize>,
-    input_dims: [usize; 4],
-    output_dims: [usize; 4],
-}
-
-/// Adaptive max pooling to an `out × out` grid — one SPP pyramid level.
-pub fn adaptive_max_pool2d(input: &Tensor, out_size: usize) -> (Tensor, AdaptiveMaxIndices) {
-    assert!(out_size > 0, "adaptive pool output must be positive");
+/// [`window_max`] with a fresh argmax buffer, packaged for backprop.
+fn tracked(input: &Tensor, windows: Windows) -> (Tensor, MaxIndices) {
     let (n, c, h, w) = input.shape().nchw();
-    assert!(
-        h >= 1 && w >= 1,
-        "adaptive pool needs non-empty spatial dims"
-    );
-    let out_spatial = out_size * out_size;
-    let in_spatial = h * w;
-    let sample_in = c * in_spatial;
-    let sample_out = c * out_spatial;
-
-    let mut out = vec![0.0f32; n * sample_out];
-    let mut idx = vec![0usize; n * sample_out];
-    out.par_chunks_mut(sample_out)
-        .zip(idx.par_chunks_mut(sample_out))
-        .enumerate()
-        .for_each(|(s, (o, ix))| {
-            let x = &input.data()[s * sample_in..(s + 1) * sample_in];
-            for ci in 0..c {
-                for oy in 0..out_size {
-                    let (y0, y1) = adaptive_bin(oy, h, out_size);
-                    for ox in 0..out_size {
-                        let (x0, x1) = adaptive_bin(ox, w, out_size);
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_i = 0usize;
-                        for iy in y0..y1 {
-                            for ixp in x0..x1 {
-                                let lin = ci * in_spatial + iy * w + ixp;
-                                if x[lin] > best {
-                                    best = x[lin];
-                                    best_i = lin;
-                                }
-                            }
-                        }
-                        let olin = ci * out_spatial + oy * out_size + ox;
-                        o[olin] = best;
-                        ix[olin] = s * sample_in + best_i;
-                    }
-                }
-            }
-        });
+    let mut indices = vec![0usize; n * c * windows.out_dim(h) * windows.out_dim(w)];
+    let y = window_max(input, windows, Some(&mut indices));
+    let output_dims = y.dims().try_into().expect("NCHW pool output");
     (
-        Tensor::from_vec([n, c, out_size, out_size], out).expect("adaptive pool output"),
-        AdaptiveMaxIndices {
-            indices: idx,
+        y,
+        MaxIndices {
+            indices,
             input_dims: [n, c, h, w],
-            output_dims: [n, c, out_size, out_size],
+            output_dims,
         },
     )
 }
 
-/// [`adaptive_max_pool2d`] without the argmax bookkeeping (see
-/// [`max_pool2d_values`]). Values are bit-identical to the tracked variant.
-pub fn adaptive_max_pool2d_values(input: &Tensor, out_size: usize) -> Tensor {
-    assert!(out_size > 0, "adaptive pool output must be positive");
+/// The one window-max kernel: each output element is the max of its window,
+/// scanned row-major with a strict `>` so ties keep the first element. When
+/// `argmax` is given, it receives each winner's linear index in `input`.
+/// Samples run in parallel.
+fn window_max(input: &Tensor, windows: Windows, argmax: Option<&mut [usize]>) -> Tensor {
     let (n, c, h, w) = input.shape().nchw();
-    assert!(
-        h >= 1 && w >= 1,
-        "adaptive pool needs non-empty spatial dims"
-    );
-    let out_spatial = out_size * out_size;
-    let in_spatial = h * w;
-    let sample_in = c * in_spatial;
-    let sample_out = c * out_spatial;
-
+    let out_dims = (windows.out_dim(h), windows.out_dim(w));
+    let sample_in = c * h * w;
+    let sample_out = c * out_dims.0 * out_dims.1;
+    let x = |s: usize| &input.data()[s * sample_in..(s + 1) * sample_in];
     let mut out = vec![0.0f32; n * sample_out];
-    out.par_chunks_mut(sample_out)
-        .enumerate()
-        .for_each(|(s, o)| {
-            let x = &input.data()[s * sample_in..(s + 1) * sample_in];
-            for ci in 0..c {
-                for oy in 0..out_size {
-                    let (y0, y1) = adaptive_bin(oy, h, out_size);
-                    for ox in 0..out_size {
-                        let (x0, x1) = adaptive_bin(ox, w, out_size);
-                        let mut best = f32::NEG_INFINITY;
-                        for iy in y0..y1 {
-                            for ixp in x0..x1 {
-                                let v = x[ci * in_spatial + iy * w + ixp];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                        }
-                        o[ci * out_spatial + oy * out_size + ox] = best;
-                    }
-                }
-            }
-        });
-    Tensor::from_vec([n, c, out_size, out_size], out).expect("adaptive pool output")
-}
-
-/// Backward pass of [`adaptive_max_pool2d`].
-pub fn adaptive_max_pool2d_backward(grad_out: &Tensor, saved: &AdaptiveMaxIndices) -> Tensor {
-    assert_eq!(
-        grad_out.dims(),
-        &saved.output_dims,
-        "adaptive_max_pool2d_backward: grad shape mismatch"
-    );
-    let [n, c, h, w] = saved.input_dims;
-    let mut gx = vec![0.0f32; n * c * h * w];
-    for (&src, &g) in saved.indices.iter().zip(grad_out.data().iter()) {
-        gx[src] += g;
+    match argmax {
+        Some(idx) => out
+            .par_chunks_mut(sample_out)
+            .zip(idx.par_chunks_mut(sample_out))
+            .enumerate()
+            .for_each(|(s, (o, ix))| {
+                pool_sample(x(s), (c, h, w), windows, out_dims, o, |olin, lin| {
+                    ix[olin] = s * sample_in + lin;
+                })
+            }),
+        None => out
+            .par_chunks_mut(sample_out)
+            .enumerate()
+            .for_each(|(s, o)| pool_sample(x(s), (c, h, w), windows, out_dims, o, |_, _| {})),
     }
-    Tensor::from_vec([n, c, h, w], gx).expect("adaptive pool grad size")
+    Tensor::from_vec([n, c, out_dims.0, out_dims.1], out).expect("pool output size")
 }
 
-/// Adaptive average pooling to an `out × out` grid.
-pub fn adaptive_avg_pool2d(input: &Tensor, out_size: usize) -> Tensor {
-    assert!(out_size > 0, "adaptive pool output must be positive");
-    let (n, c, h, w) = input.shape().nchw();
-    let out_spatial = out_size * out_size;
-    let in_spatial = h * w;
-    let sample_in = c * in_spatial;
-    let sample_out = c * out_spatial;
-
-    let mut out = vec![0.0f32; n * sample_out];
-    out.par_chunks_mut(sample_out)
-        .enumerate()
-        .for_each(|(s, o)| {
-            let x = &input.data()[s * sample_in..(s + 1) * sample_in];
-            for ci in 0..c {
-                for oy in 0..out_size {
-                    let (y0, y1) = adaptive_bin(oy, h, out_size);
-                    for ox in 0..out_size {
-                        let (x0, x1) = adaptive_bin(ox, w, out_size);
-                        let mut acc = 0.0f32;
-                        for iy in y0..y1 {
-                            for ixp in x0..x1 {
-                                acc += x[ci * in_spatial + iy * w + ixp];
-                            }
-                        }
-                        let count = ((y1 - y0) * (x1 - x0)) as f32;
-                        o[ci * out_spatial + oy * out_size + ox] = acc / count;
-                    }
-                }
-            }
-        });
-    Tensor::from_vec([n, c, out_size, out_size], out).expect("adaptive avg output")
-}
-
-/// Backward pass of [`adaptive_avg_pool2d`]: spreads each output gradient
-/// uniformly over its bin.
-pub fn adaptive_avg_pool2d_backward(
-    grad_out: &Tensor,
-    input_shape: &[usize],
-    out_size: usize,
-) -> Tensor {
-    let [n, c, h, w]: [usize; 4] = input_shape.try_into().expect("NCHW input shape");
-    let (gn, gc, goh, gow) = grad_out.shape().nchw();
-    assert_eq!(
-        (gn, gc),
-        (n, c),
-        "adaptive_avg backward batch/channel mismatch"
-    );
-    assert_eq!(
-        (goh, gow),
-        (out_size, out_size),
-        "adaptive_avg backward size mismatch"
-    );
-    let in_spatial = h * w;
-    let out_spatial = out_size * out_size;
-    let mut gx = vec![0.0f32; n * c * in_spatial];
-    for s in 0..n {
-        for ci in 0..c {
-            for oy in 0..out_size {
-                let (y0, y1) = adaptive_bin(oy, h, out_size);
-                for ox in 0..out_size {
-                    let (x0, x1) = adaptive_bin(ox, w, out_size);
-                    let count = ((y1 - y0) * (x1 - x0)) as f32;
-                    let g =
-                        grad_out.data()[(s * c + ci) * out_spatial + oy * out_size + ox] / count;
-                    for iy in y0..y1 {
-                        for ixp in x0..x1 {
-                            gx[(s * c + ci) * in_spatial + iy * w + ixp] += g;
+/// [`window_max`] over one `[C, H, W]` sample `x` into `o`. `sink(o_index,
+/// x_index)` sees every winner; a no-op sink compiles the tracking away.
+fn pool_sample(
+    x: &[f32],
+    (c, h, w): (usize, usize, usize),
+    windows: Windows,
+    (oh, ow): (usize, usize),
+    o: &mut [f32],
+    mut sink: impl FnMut(usize, usize),
+) {
+    for ci in 0..c {
+        for oy in 0..oh {
+            let rows = windows.range(oy, h);
+            for ox in 0..ow {
+                let cols = windows.range(ox, w);
+                let mut best = f32::NEG_INFINITY;
+                let mut best_i = 0usize;
+                for iy in rows.clone() {
+                    for ixp in cols.clone() {
+                        let lin = (ci * h + iy) * w + ixp;
+                        if x[lin] > best {
+                            best = x[lin];
+                            best_i = lin;
                         }
                     }
                 }
+                let olin = (ci * oh + oy) * ow + ox;
+                o[olin] = best;
+                sink(olin, best_i);
             }
         }
     }
-    Tensor::from_vec([n, c, h, w], gx).expect("adaptive avg grad size")
 }
 
 #[cfg(test)]
@@ -364,9 +224,9 @@ mod tests {
     #[test]
     fn max_pool_backward_matches_numeric() {
         let mut rng = SeededRng::new(4);
-        let x = Tensor::randn([1, 2, 4, 4], 0.0, 1.0, &mut rng);
+        let x = Tensor::randn([2, 2, 4, 4], 0.0, 1.0, &mut rng);
         let (_, ix) = max_pool2d(&x, 2, 2);
-        let go = Tensor::ones([1, 2, 2, 2]);
+        let go = Tensor::ones([2, 2, 2, 2]);
         let gx = max_pool2d_backward(&go, &ix);
         let num = numeric_grad(&x, 1e-3, |xp| max_pool2d(xp, 2, 2).0.sum());
         assert!(gx.max_abs_diff(&num) < 1e-2);
@@ -445,29 +305,23 @@ mod tests {
     #[test]
     fn adaptive_max_backward_matches_numeric() {
         let mut rng = SeededRng::new(6);
-        let x = Tensor::randn([1, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let x = Tensor::randn([2, 2, 5, 5], 0.0, 1.0, &mut rng);
         let (_, ix) = adaptive_max_pool2d(&x, 3);
-        let go = Tensor::ones([1, 2, 3, 3]);
-        let gx = adaptive_max_pool2d_backward(&go, &ix);
+        let go = Tensor::ones([2, 2, 3, 3]);
+        let gx = max_pool2d_backward(&go, &ix);
         let num = numeric_grad(&x, 1e-3, |xp| adaptive_max_pool2d(xp, 3).0.sum());
         assert!(gx.max_abs_diff(&num) < 1e-2);
     }
 
     #[test]
-    fn adaptive_avg_1x1_is_mean() {
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 6.]).unwrap();
-        let y = adaptive_avg_pool2d(&x, 1);
-        assert_eq!(y.data(), &[3.0]);
-    }
-
-    #[test]
-    fn adaptive_avg_backward_matches_numeric() {
-        let mut rng = SeededRng::new(10);
-        let x = Tensor::randn([1, 1, 5, 7], 0.0, 1.0, &mut rng);
-        let go = Tensor::ones([1, 1, 2, 2]);
-        let gx = adaptive_avg_pool2d_backward(&go, x.dims(), 2);
-        let num = numeric_grad(&x, 1e-3, |xp| adaptive_avg_pool2d(xp, 2).sum());
-        assert!(gx.max_abs_diff(&num) < 1e-2);
+    fn adaptive_windows_that_tile_exactly_match_fixed_windows() {
+        // 8 → 4 bins is the 2×2/2 fixed pool: same values, same winners.
+        let mut rng = SeededRng::new(13);
+        let x = Tensor::randn([2, 3, 8, 8], 0.0, 1.0, &mut rng);
+        let (fixed, fixed_ix) = max_pool2d(&x, 2, 2);
+        let (adaptive, adaptive_ix) = adaptive_max_pool2d(&x, 4);
+        assert_eq!(fixed.data(), adaptive.data());
+        assert_eq!(fixed_ix.indices, adaptive_ix.indices);
     }
 
     #[test]
