@@ -20,10 +20,16 @@
 //! call on the full pool (`threads` workers) for cross-referencing with
 //! `BENCH_parallel.json`.
 //!
+//! Conv-block rows (`conv_blocks`) time a whole C–P unit of candidate 2 —
+//! conv1/2/3 at batch 1 and 32 — as the fused `conv2d_relu_pool` against
+//! `conv2d_relu` followed by `max_pool2d`, single-thread and on the pool.
+//!
 //! Usage: `cargo run --release -p dcd-bench --bin gemm`
 //! (writes `BENCH_gemm.json`)
 
-use dcd_tensor::{conv2d_relu, gemm_into, gemm_legacy, SeededRng, Tensor};
+use dcd_tensor::{
+    conv2d_relu, conv2d_relu_pool, gemm_into, gemm_legacy, max_pool2d, SeededRng, Tensor,
+};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -41,14 +47,34 @@ struct KernelTiming {
     packed_pool_ms: f64,
 }
 
+/// One conv block's timings, milliseconds (best of `REPS` runs): the fused
+/// conv+bias+ReLU+2×2/2 pool against the conv+ReLU kernel followed by a
+/// separate pool.
+#[derive(Debug, Serialize)]
+struct BlockTiming {
+    name: String,
+    c_in: usize,
+    hw: usize,
+    c_out: usize,
+    batch: usize,
+    unfused_ms: f64,
+    fused_ms: f64,
+    speedup: f64,
+    unfused_pool_ms: f64,
+    fused_pool_ms: f64,
+    pool_speedup: f64,
+}
+
 /// The recorded artifact.
 #[derive(Debug, Serialize)]
 struct Report {
-    /// Actual worker count of the (warmed) pool. Only `packed_pool_ms` uses
-    /// it; every other timing executes under `force_sequential`.
+    /// Actual worker count of the (warmed) pool. Only the `*pool_ms`
+    /// columns use it; every other timing executes under
+    /// `force_sequential`.
     threads: usize,
     mode: &'static str,
     kernels: Vec<KernelTiming>,
+    conv_blocks: Vec<BlockTiming>,
 }
 
 const REPS: usize = 5;
@@ -139,6 +165,40 @@ fn time_conv(name: &str, c_in: usize, hw: usize, c_out: usize, batch: usize) -> 
     report(name, (m, k, n, batch), legacy_ms, packed_ms, packed_pool_ms)
 }
 
+/// Times one 3×3, pad-1 C–P block of `c_out` filters over a batch of
+/// `c_in`-channel `hw×hw` inputs, fused vs unfused.
+fn time_block(name: &str, c_in: usize, hw: usize, c_out: usize, batch: usize) -> BlockTiming {
+    let mut rng = SeededRng::new(0xB10C ^ (c_in * 31 + hw * 7 + c_out + batch) as u64);
+    let x = Tensor::randn([batch, c_in, hw, hw], 0.0, 1.0, &mut rng);
+    let w = Tensor::randn([c_out, c_in, 3, 3], 0.0, 0.1, &mut rng);
+    let bias = Tensor::randn([c_out], 0.0, 0.1, &mut rng);
+    let mut unfused = || {
+        std::hint::black_box(max_pool2d(&conv2d_relu(&x, &w, &bias, 1, 1), 2, 2));
+    };
+    let mut fused = || {
+        std::hint::black_box(conv2d_relu_pool(&x, &w, &bias, 1, 1));
+    };
+    let (unfused_ms, fused_ms) = (best_ms(&mut unfused), best_ms(&mut fused));
+    let (unfused_pool_ms, fused_pool_ms) = (best_pool_ms(&mut unfused), best_pool_ms(&mut fused));
+    println!(
+        "{name:18} c_in={c_in:4} hw={hw:4} c_out={c_out:4} b={batch:2}   unfused {unfused_ms:9.2} ms   fused {fused_ms:9.2} ms   speedup {:.2}x   pool {unfused_pool_ms:9.2} -> {fused_pool_ms:9.2} ms",
+        unfused_ms / fused_ms
+    );
+    BlockTiming {
+        name: name.to_string(),
+        c_in,
+        hw,
+        c_out,
+        batch,
+        unfused_ms,
+        fused_ms,
+        speedup: unfused_ms / fused_ms,
+        unfused_pool_ms,
+        fused_pool_ms,
+        pool_speedup: unfused_pool_ms / fused_pool_ms,
+    }
+}
+
 fn main() {
     // Spin the pool up with a real parallel call before reading its size.
     let warm: f32 = {
@@ -176,10 +236,21 @@ fn main() {
         kernels.push(time_gemm(&format!("fc1_c2_b{b}"), b, 7_680, 4_096));
     }
 
+    // Candidate 2's C–P blocks on a 100×100 patch, whole: conv1 (4 → 64)
+    // at 100×100, conv2 (64 → 128) at 50×50, conv3 (128 → 256) at 25×25,
+    // whose 25×25 activation pools to 12×12.
+    let mut conv_blocks = Vec::new();
+    for &b in &[1usize, 32] {
+        conv_blocks.push(time_block(&format!("block1_b{b}"), 4, 100, 64, b));
+        conv_blocks.push(time_block(&format!("block2_b{b}"), 64, 50, 128, b));
+        conv_blocks.push(time_block(&format!("block3_b{b}"), 128, 25, 256, b));
+    }
+
     let report = Report {
         threads,
         mode: "single_thread_forced+pool",
         kernels,
+        conv_blocks,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write("BENCH_gemm.json", json).expect("write BENCH_gemm.json");

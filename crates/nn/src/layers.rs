@@ -7,8 +7,9 @@
 
 use crate::param::Param;
 use dcd_tensor::{
-    adaptive_max_pool2d, adaptive_max_pool2d_values, conv2d_backward, conv2d_relu, max_pool2d,
-    max_pool2d_backward, max_pool2d_values, MaxIndices, SeededRng, Tensor,
+    adaptive_max_pool2d, adaptive_max_pool2d_values, conv2d_backward, conv2d_relu_pool,
+    conv2d_relu_pool_tracked, max_pool2d_backward, relu_max_pool2d_backward, MaxIndices, SeededRng,
+    Tensor,
 };
 use rayon::prelude::*;
 
@@ -45,7 +46,13 @@ fn mask_relu_grad(grad: &mut Tensor, act: &Tensor) {
 
 /// The paper's C–P unit: a stride-1 "same" convolution with bias, ReLU and
 /// a 2×2/2 max pool (`C_{c,k,1} − P_{2,2}`), run through the fused
-/// `conv+bias+ReLU` kernel in training and inference alike.
+/// `conv+bias+ReLU+pool` kernel in training and inference alike, so the
+/// full-resolution activation never leaves per-thread scratch.
+///
+/// Training records the input, the pooled output and the pool's argmax.
+/// The ReLU mask backward needs is the pooled output's sign: each pooled
+/// value is its winner's activation, and every other activation receives
+/// no gradient.
 #[derive(Debug, Clone)]
 pub struct ConvBlock {
     /// Filter bank `[C_out, C_in, K, K]` (odd `K`; padding is `K/2`).
@@ -59,8 +66,8 @@ pub struct ConvBlock {
 #[derive(Debug, Clone)]
 struct ConvBlockState {
     input: Tensor,
-    /// The ReLU output (before pooling); its positive entries are the mask.
-    activation: Tensor,
+    /// The pooled ReLU output; its positive entries are the winners' mask.
+    output: Tensor,
     pool: MaxIndices,
 }
 
@@ -82,26 +89,22 @@ impl ConvBlock {
     pub fn pad(&self) -> usize {
         self.weight.value.dims()[2] / 2
     }
-
-    fn activate(&self, x: &Tensor) -> Tensor {
-        conv2d_relu(x, &self.weight.value, &self.bias.value, 1, self.pad())
-    }
 }
 
 impl Layer for ConvBlock {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let activation = self.activate(x);
-        let (y, pool) = max_pool2d(&activation, 2, 2);
+        let (w, b) = (&self.weight.value, &self.bias.value);
+        let (y, pool) = conv2d_relu_pool_tracked(x, w, b, 1, self.pad());
         self.saved = Some(ConvBlockState {
             input: x.clone(),
-            activation,
+            output: y.clone(),
             pool,
         });
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        max_pool2d_values(&self.activate(x), 2, 2)
+        conv2d_relu_pool(x, &self.weight.value, &self.bias.value, 1, self.pad())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -110,8 +113,7 @@ impl Layer for ConvBlock {
             .saved
             .as_ref()
             .expect("ConvBlock::backward before forward");
-        let mut g = max_pool2d_backward(grad_out, &s.pool);
-        mask_relu_grad(&mut g, &s.activation);
+        let g = relu_max_pool2d_backward(grad_out, &s.output, &s.pool);
         let grads = conv2d_backward(&s.input, &self.weight.value, &g, 1, pad);
         self.weight.grad.axpy(1.0, &grads.weight);
         self.bias.grad.axpy(1.0, &grads.bias);
@@ -429,6 +431,7 @@ impl Layer for Sequential {
 mod tests {
     use super::*;
     use dcd_tensor::grad_check::{numeric_grad, rel_error};
+    use dcd_tensor::{conv2d_relu, max_pool2d};
 
     fn rng() -> SeededRng {
         SeededRng::new(1234)
@@ -511,6 +514,45 @@ mod tests {
         let y = block.forward(&x);
         assert!(y.max_abs_diff(&want) == 0.0);
         assert_bits_eq(&y, &block.infer(&x));
+    }
+
+    #[test]
+    fn conv_block_backward_matches_unfused_route_bitwise() {
+        // Reference: pool backward over the full activation, then the ReLU
+        // mask over it, then conv backward. Channel biases of -4 make whole
+        // windows non-positive (pooled +0.0, so the gradient there must be
+        // masked to ±0); odd sizes drop the last activation row/column.
+        let mut r = SeededRng::new(29);
+        for (h, w) in [(9, 9), (6, 11)] {
+            let mut block = ConvBlock::new(3, 4, 3, &mut r);
+            block.bias.value = Tensor::from_vec([4], vec![0.3, -4.0, 0.0, -0.4]).unwrap();
+            let x = Tensor::randn([2, 3, h, w], 0.0, 1.0, &mut r);
+            let y = block.forward(&x);
+            let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut r);
+            let gx = block.backward(&go);
+
+            let (wt, b, pad) = (&block.weight.value, &block.bias.value, block.pad());
+            let act = conv2d_relu(&x, wt, b, 1, pad);
+            let (pooled, ix) = max_pool2d(&act, 2, 2);
+            assert_bits_eq(&y, &pooled);
+            assert!(
+                y.data()
+                    .iter()
+                    .zip(go.data())
+                    .any(|(&v, &g)| v == 0.0 && g < 0.0),
+                "no masked window with a negative gradient"
+            );
+            let mut g = max_pool2d_backward(&go, &ix);
+            mask_relu_grad(&mut g, &act);
+            let want = conv2d_backward(&x, wt, &g, 1, pad);
+            assert_bits_eq(&gx, &want.input);
+            let mut want_w = Tensor::zeros(wt.shape().clone());
+            want_w.axpy(1.0, &want.weight);
+            assert_bits_eq(&block.weight.grad, &want_w);
+            let mut want_b = Tensor::zeros(b.shape().clone());
+            want_b.axpy(1.0, &want.bias);
+            assert_bits_eq(&block.bias.grad, &want_b);
+        }
     }
 
     #[test]

@@ -22,12 +22,17 @@
 //! no memset), and sweeps the packed weights over it. The bias (+ optional
 //! ReLU) is applied by the GEMM epilogue as tiles are written back — there
 //! is no intermediate product buffer and no second sweep over the output.
-//! The backward pass builds per-sample im2col and gradient columns in the
-//! worker's scratch pool. In steady state neither direction allocates per
-//! sample.
+//! [`conv2d_relu_pool`] fuses the C–P unit's 2×2/2 max pool too: each
+//! sample's activation is written into a per-thread scratch buffer (the
+//! epilogue writes every element, so again no memset) and pooled from
+//! there into the 4× smaller output, so the full-resolution activation
+//! never reaches a tensor. The backward pass builds per-sample im2col and
+//! gradient columns in the worker's scratch pool. In steady state neither
+//! direction allocates per sample.
 
 use crate::gemm::{gemm_bt_acc, gemm_packed, gemm_slab, select_nr, Epilogue, PackedLhs, Trans};
 use crate::gemm::{NR_MAX, PAR_WORK};
+use crate::pool::{pool_sample, MaxIndices, Windows};
 use crate::scratch;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -219,6 +224,161 @@ fn pack_panel(xp: &[f32], g: &Geom, j0: usize, width: usize, panel: &mut [f32]) 
     }
 }
 
+/// One forward call's shared state: the geometry, the weights packed once
+/// for every sample, the bias epilogue and the slab shape each sample's
+/// sweep uses.
+struct Forward<'a> {
+    g: Geom,
+    c_out: usize,
+    k: usize,
+    pw: PackedLhs,
+    ep: Epilogue<'a>,
+    /// Column-panel width and slab width (a multiple of it).
+    nr: usize,
+    nc: usize,
+    /// Whether each sample's slab packing and sweep is split across the
+    /// pool, and the sweep's row-block height when it is.
+    split: bool,
+    mc: usize,
+}
+
+impl<'a> Forward<'a> {
+    fn new(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: &'a Tensor,
+        stride: usize,
+        pad: usize,
+        relu: bool,
+    ) -> Self {
+        let (n, c_in, h, w) = input.shape().nchw();
+        let (c_out, wc_in, kh, kw) = weight.shape().nchw();
+        assert_eq!(
+            c_in, wc_in,
+            "conv2d: input channels {c_in} != weight channels {wc_in}"
+        );
+        assert_eq!(bias.numel(), c_out, "conv2d: bias size != C_out");
+        let g = Geom {
+            c: c_in,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+            oh: out_dim(h, kh, stride, pad),
+            ow: out_dim(w, kw, stride, pad),
+        };
+        let k = c_in * kh * kw;
+        let ospatial = g.oh * g.ow;
+        dcd_obs::counter!("conv.flops").add(2 * (n * c_out * k * ospatial) as u64);
+
+        // Pack the weight matrix once; every sample's slabs read it in place.
+        let pw = PackedLhs::pack(weight.data(), Trans::No, c_out, k);
+        let ep = if relu {
+            Epilogue::BiasRowsRelu(bias.data())
+        } else {
+            Epilogue::BiasRows(bias.data())
+        };
+        // Slab width: a multiple of the column-panel width `nr`, about
+        // SLAB_BYTES of packed columns, no wider than the (padded) output.
+        let nr = select_nr(ospatial);
+        let nc = (SLAB_BYTES / (4 * k.max(1)) / nr * nr)
+            .max(nr)
+            .min(ospatial.next_multiple_of(nr));
+        // Fewer samples than threads: split each sample's slab packing by
+        // column-panel and its sweep into row blocks (multiples of the weight
+        // panel height) so the whole pool works on it.
+        let threads = rayon::current_num_threads();
+        let split = n < threads && c_out * k * ospatial >= PAR_WORK;
+        let mc = if split {
+            c_out
+                .div_ceil(threads.div_ceil(n))
+                .next_multiple_of(pw.mr())
+        } else {
+            c_out
+        };
+        Forward {
+            g,
+            c_out,
+            k,
+            pw,
+            ep,
+            nr,
+            nc,
+            split,
+            mc,
+        }
+    }
+
+    /// Floats per input sample `[C_in, H, W]`.
+    fn sample_in(&self) -> usize {
+        self.g.c * self.g.h * self.g.w
+    }
+
+    /// Floats per output sample `[C_out, OH, OW]`.
+    fn sample_out(&self) -> usize {
+        self.c_out * self.g.oh * self.g.ow
+    }
+
+    /// Convolves one sample `x` into `o` (`[C_out, OH, OW]`), writing every
+    /// element, so `o` may hold stale data on entry.
+    fn sample(&self, x: &[f32], o: &mut [f32]) {
+        let Forward {
+            g,
+            c_out,
+            k,
+            ref pw,
+            ep,
+            nr,
+            nc,
+            split,
+            mc,
+        } = *self;
+        let ospatial = g.oh * g.ow;
+        let mut xp = scratch::take_overwrite(g.c * (g.h + 2 * g.pad) * (g.w + 2 * g.pad));
+        pad_into(x, &g, &mut xp);
+        let mut slab = scratch::take_overwrite(nc * k);
+        for j0 in (0..ospatial).step_by(nc) {
+            let cols = j0..(j0 + nc).min(ospatial);
+            let panels = &mut slab[..cols.len().div_ceil(nr) * nr * k];
+            let pack = |(pj, panel): (usize, &mut [f32])| {
+                let c0 = cols.start + pj * nr;
+                pack_panel(&xp, &g, c0, nr.min(cols.end - c0), panel);
+            };
+            if split {
+                panels.par_chunks_mut(nr * k).enumerate().for_each(pack);
+            } else {
+                panels.chunks_mut(nr * k).enumerate().for_each(pack);
+            }
+            let sweep = |(blk, c_blk): (usize, &mut [f32])| {
+                let rows = blk * mc..(blk * mc + mc).min(c_out);
+                gemm_slab(pw, &slab, nr, c_blk, rows, cols.clone(), ospatial, ep);
+            };
+            if split {
+                o.par_chunks_mut(mc * ospatial).enumerate().for_each(sweep);
+            } else {
+                sweep((0, o));
+            }
+        }
+        scratch::release(slab);
+        scratch::release(xp);
+    }
+
+    /// Convolves one sample `x` into a scratch activation and 2×2/2-pools
+    /// that into `o` (`[C_out, OH/2, OW/2]`); `sink` sees every winner as
+    /// in [`pool_sample`].
+    fn sample_pooled(&self, x: &[f32], o: &mut [f32], sink: impl FnMut(usize, usize)) {
+        let (oh, ow) = (self.g.oh, self.g.ow);
+        let pooled = (POOL_2X2.out_dim(oh), POOL_2X2.out_dim(ow));
+        // The GEMM epilogue writes every element: no memset needed.
+        let mut act = scratch::take_overwrite(self.sample_out());
+        self.sample(x, &mut act);
+        pool_sample(&act, (self.c_out, oh, ow), POOL_2X2, pooled, o, sink);
+        scratch::release(act);
+    }
+}
+
 fn conv2d_fused(
     input: &Tensor,
     weight: &Tensor,
@@ -227,92 +387,14 @@ fn conv2d_fused(
     pad: usize,
     relu: bool,
 ) -> Tensor {
-    let (n, c_in, h, w) = input.shape().nchw();
-    let (c_out, wc_in, kh, kw) = weight.shape().nchw();
-    assert_eq!(
-        c_in, wc_in,
-        "conv2d: input channels {c_in} != weight channels {wc_in}"
-    );
-    assert_eq!(bias.numel(), c_out, "conv2d: bias size != C_out");
-    let oh = out_dim(h, kh, stride, pad);
-    let ow = out_dim(w, kw, stride, pad);
-    let g = Geom {
-        c: c_in,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh,
-        ow,
-    };
-    let k = c_in * kh * kw;
-    let ospatial = oh * ow;
-    let sample_in = c_in * h * w;
-    let sample_out = c_out * ospatial;
     let _span = dcd_obs::span("conv2d", dcd_obs::Category::Conv);
-    dcd_obs::counter!("conv.flops").add(2 * (n * c_out * k * ospatial) as u64);
-
-    // Pack the weight matrix once; every sample's slabs read it in place.
-    let pw = PackedLhs::pack(weight.data(), Trans::No, c_out, k);
-    let ep = if relu {
-        Epilogue::BiasRowsRelu(bias.data())
-    } else {
-        Epilogue::BiasRows(bias.data())
-    };
-    // Slab width: a multiple of the column-panel width `nr`, about
-    // SLAB_BYTES of packed columns, no wider than the (padded) output.
-    let nr = select_nr(ospatial);
-    let nc = (SLAB_BYTES / (4 * k.max(1)) / nr * nr)
-        .max(nr)
-        .min(ospatial.next_multiple_of(nr));
-    // Fewer samples than threads: split each sample's slab packing by
-    // column-panel and its sweep into row blocks (multiples of the weight
-    // panel height) so the whole pool works on it.
-    let threads = rayon::current_num_threads();
-    let split = n < threads && c_out * k * ospatial >= PAR_WORK;
-    let mc = if split {
-        c_out
-            .div_ceil(threads.div_ceil(n))
-            .next_multiple_of(pw.mr())
-    } else {
-        c_out
-    };
-
-    let mut out = vec![0.0f32; n * sample_out];
-    out.par_chunks_mut(sample_out)
-        .zip(input.data().par_chunks(sample_in))
-        .for_each(|(o, x)| {
-            let mut xp = scratch::take_overwrite(c_in * (h + 2 * pad) * (w + 2 * pad));
-            pad_into(x, &g, &mut xp);
-            let mut slab = scratch::take_overwrite(nc * k);
-            for j0 in (0..ospatial).step_by(nc) {
-                let cols = j0..(j0 + nc).min(ospatial);
-                let panels = &mut slab[..cols.len().div_ceil(nr) * nr * k];
-                let pack = |(pj, panel): (usize, &mut [f32])| {
-                    let c0 = cols.start + pj * nr;
-                    pack_panel(&xp, &g, c0, nr.min(cols.end - c0), panel);
-                };
-                if split {
-                    panels.par_chunks_mut(nr * k).enumerate().for_each(pack);
-                } else {
-                    panels.chunks_mut(nr * k).enumerate().for_each(pack);
-                }
-                let sweep = |(blk, c_blk): (usize, &mut [f32])| {
-                    let rows = blk * mc..(blk * mc + mc).min(c_out);
-                    gemm_slab(&pw, &slab, nr, c_blk, rows, cols.clone(), ospatial, ep);
-                };
-                if split {
-                    o.par_chunks_mut(mc * ospatial).enumerate().for_each(sweep);
-                } else {
-                    sweep((0, o));
-                }
-            }
-            scratch::release(slab);
-            scratch::release(xp);
-        });
-    Tensor::from_vec([n, c_out, oh, ow], out).expect("conv2d output size")
+    let f = Forward::new(input, weight, bias, stride, pad, relu);
+    let n = input.dims()[0];
+    let mut out = vec![0.0f32; n * f.sample_out()];
+    out.par_chunks_mut(f.sample_out())
+        .zip(input.data().par_chunks(f.sample_in()))
+        .for_each(|(o, x)| f.sample(x, o));
+    Tensor::from_vec([n, f.c_out, f.g.oh, f.g.ow], out).expect("conv2d output size")
 }
 
 /// Convolution forward pass (bias fused into the GEMM write-back).
@@ -330,6 +412,83 @@ pub fn conv2d_relu(
     pad: usize,
 ) -> Tensor {
     conv2d_fused(input, weight, bias, stride, pad, true)
+}
+
+/// The 2×2/2 max pool [`conv2d_relu_pool`] applies.
+const POOL_2X2: Windows = Windows::Fixed {
+    kernel: 2,
+    stride: 2,
+};
+
+/// [`conv2d_relu`] followed by a 2×2/2 max pool, in one pass: the paper's
+/// C–P unit. Each sample's activation lives only in a per-thread scratch
+/// buffer and is pooled into the 4× smaller output as soon as its
+/// convolution finishes. Bit for bit equal to `max_pool2d(&conv2d_relu(..),
+/// 2, 2).0`, including the floor for odd output sizes.
+pub fn conv2d_relu_pool(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    conv_relu_pool(input, weight, bias, stride, pad, false).0
+}
+
+/// [`conv2d_relu_pool`] that also records each pooled element's argmax in
+/// the (never materialized) activation — what `max_pool2d` would return —
+/// for [`crate::pool::relu_max_pool2d_backward`].
+pub fn conv2d_relu_pool_tracked(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> (Tensor, MaxIndices) {
+    let (y, pool) = conv_relu_pool(input, weight, bias, stride, pad, true);
+    (y, pool.expect("tracked pool records its argmax"))
+}
+
+/// Shared body of [`conv2d_relu_pool`] and its tracked variant.
+fn conv_relu_pool(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    stride: usize,
+    pad: usize,
+    track: bool,
+) -> (Tensor, Option<MaxIndices>) {
+    let _span = dcd_obs::span("conv2d", dcd_obs::Category::Conv);
+    let f = Forward::new(input, weight, bias, stride, pad, true);
+    let n = input.dims()[0];
+    let (oh, ow) = (f.g.oh, f.g.ow);
+    let (ph, pw) = (POOL_2X2.out_dim(oh), POOL_2X2.out_dim(ow));
+    let sample_pooled = f.c_out * ph * pw;
+    let samples = input.data().par_chunks(f.sample_in());
+    let mut out = vec![0.0f32; n * sample_pooled];
+    let pool = if track {
+        let mut indices = vec![0usize; n * sample_pooled];
+        out.par_chunks_mut(sample_pooled)
+            .zip(indices.par_chunks_mut(sample_pooled))
+            .zip(samples)
+            .enumerate()
+            .for_each(|(s, ((o, ix), x))| {
+                let base = s * f.sample_out();
+                f.sample_pooled(x, o, |olin, lin| ix[olin] = base + lin);
+            });
+        Some(MaxIndices {
+            indices,
+            input_dims: [n, f.c_out, oh, ow],
+            output_dims: [n, f.c_out, ph, pw],
+        })
+    } else {
+        out.par_chunks_mut(sample_pooled)
+            .zip(samples)
+            .for_each(|(o, x)| f.sample_pooled(x, o, |_, _| {}));
+        None
+    };
+    let y = Tensor::from_vec([n, f.c_out, ph, pw], out).expect("conv2d_relu_pool output size");
+    (y, pool)
 }
 
 /// Convolution backward pass: gradients w.r.t. input, weight and bias.
@@ -604,8 +763,50 @@ mod tests {
         out
     }
 
-    /// Checks `conv2d` and `conv2d_relu` against [`conv_oracle`] bit for
-    /// bit at batch 1 and 3, on the pool and forced sequential.
+    /// Runs `f` on the pool, or forced sequential.
+    fn on<R>(sequential: bool, f: impl FnOnce() -> R) -> R {
+        if sequential {
+            rayon::force_sequential(f)
+        } else {
+            f()
+        }
+    }
+
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: size");
+        for (e, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {e}: {g} vs {w}");
+        }
+    }
+
+    /// The 2×2/2 window max of a `[n, c, oh, ow]` activation, spelled out:
+    /// a row-major scan from `-inf` with a strict `>`, floor for odd sizes.
+    fn pool_oracle(act: &[f32], (n, c, oh, ow): (usize, usize, usize, usize)) -> Vec<f32> {
+        let mut out = Vec::new();
+        for plane in act.chunks(oh * ow).take(n * c) {
+            for py in 0..oh / 2 {
+                for px in 0..ow / 2 {
+                    let (y, x) = (2 * py, 2 * px);
+                    let window = [(y, x), (y, x + 1), (y + 1, x), (y + 1, x + 1)];
+                    let best = window.iter().fold(f32::NEG_INFINITY, |best, &(iy, ix)| {
+                        let v = plane[iy * ow + ix];
+                        if v > best {
+                            v
+                        } else {
+                            best
+                        }
+                    });
+                    out.push(best);
+                }
+            }
+        }
+        out
+    }
+
+    /// Checks `conv2d`, `conv2d_relu` and both `conv2d_relu_pool` variants
+    /// against [`conv_oracle`] (→ ReLU → [`pool_oracle`]) bit for bit at
+    /// batch 1 and 3, on the pool and forced sequential. The tracked
+    /// variant's argmax must equal `max_pool2d`'s on the oracle activation.
     fn assert_matches_oracle(
         c_in: usize,
         hw: (usize, usize),
@@ -617,28 +818,43 @@ mod tests {
         let mut rng = SeededRng::new((c_in * 1000 + kernel * 100 + stride * 10 + pad) as u64);
         let w = Tensor::randn([c_out, c_in, kernel, kernel], 0.0, 0.3, &mut rng);
         let b = Tensor::randn([c_out], 0.0, 0.3, &mut rng);
+        let (oh, ow) = (
+            out_dim(hw.0, kernel, stride, pad),
+            out_dim(hw.1, kernel, stride, pad),
+        );
         for batch in [1, 3] {
             let x = Tensor::randn([batch, c_in, hw.0, hw.1], 0.0, 1.0, &mut rng);
             let pre = conv_oracle(&x, &w, &b, stride, pad);
-            for relu in [false, true] {
-                let want: Vec<f32> = if relu {
-                    pre.iter().map(|&y| if y > 0.0 { y } else { 0.0 }).collect()
-                } else {
-                    pre.clone()
+            let act: Vec<f32> = pre.iter().map(|&y| if y > 0.0 { y } else { 0.0 }).collect();
+            let pooled = pool_oracle(&act, (batch, c_out, oh, ow));
+            let act_t = Tensor::from_vec([batch, c_out, oh, ow], act.clone()).unwrap();
+            let (_, want_ix) = crate::pool::max_pool2d(&act_t, 2, 2);
+            for sequential in [false, true] {
+                let mode = if sequential { "sequential" } else { "pool" };
+                let what = |kernel_fn: &str| {
+                    format!(
+                        "{kernel_fn} c_in={c_in} {hw:?} k={kernel} s={stride} p={pad} batch={batch} {mode}"
+                    )
                 };
-                let run = || conv2d_fused(&x, &w, &b, stride, pad, relu);
-                for (mode, got) in [
-                    ("pool", run()),
-                    ("sequential", rayon::force_sequential(run)),
-                ] {
-                    let what = format!(
-                        "c_in={c_in} {hw:?} k={kernel} s={stride} p={pad} batch={batch} relu={relu} {mode}"
-                    );
-                    assert_eq!(got.numel(), want.len(), "{what}: size");
-                    for (e, (g, w)) in got.data().iter().zip(&want).enumerate() {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {e}: {g} vs {w}");
-                    }
-                }
+                let got = on(sequential, || conv2d(&x, &w, &b, stride, pad));
+                assert_bits(got.data(), &pre, &what("conv2d"));
+                let got = on(sequential, || conv2d_relu(&x, &w, &b, stride, pad));
+                assert_bits(got.data(), &act, &what("conv2d_relu"));
+                let got = on(sequential, || conv2d_relu_pool(&x, &w, &b, stride, pad));
+                assert_eq!(
+                    got.dims(),
+                    &[batch, c_out, oh / 2, ow / 2],
+                    "{}",
+                    what("dims")
+                );
+                assert_bits(got.data(), &pooled, &what("conv2d_relu_pool"));
+                let (got, ix) = on(sequential, || {
+                    conv2d_relu_pool_tracked(&x, &w, &b, stride, pad)
+                });
+                assert_bits(got.data(), &pooled, &what("conv2d_relu_pool_tracked"));
+                assert_eq!(ix.indices, want_ix.indices, "{}", what("argmax"));
+                assert_eq!(ix.input_dims, want_ix.input_dims);
+                assert_eq!(ix.output_dims, want_ix.output_dims);
             }
         }
     }
@@ -666,5 +882,8 @@ mod tests {
         // every slab is one panel; 9×9 outputs leave a ragged third one.
         const { assert!(9000 * 32 * 4 > SLAB_BYTES) };
         assert_matches_oracle(1000, (9, 9), 5, 3, 1, 1);
+        // conv3's 25×25 output pools to 12×12, dropping the last row and
+        // column; c_out = 40 makes batch 1 split rows between 4 threads.
+        assert_matches_oracle(16, (25, 25), 40, 3, 1, 1);
     }
 }

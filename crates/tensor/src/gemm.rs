@@ -845,30 +845,6 @@ pub fn gemm_bias(a: &[f32], b: &[f32], bias: &[f32], m: usize, k: usize, n: usiz
     c
 }
 
-/// [`gemm_bias`] with a fused `max(0, ·)`: `Linear → ReLU` in one pass.
-pub fn gemm_bias_relu(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    gemm_ep(
-        a,
-        Trans::No,
-        b,
-        Trans::No,
-        &mut c,
-        m,
-        k,
-        n,
-        Epilogue::BiasColsRelu(bias),
-    );
-    c
-}
-
 /// `C[m×n] = Aᵀ·B` where `a` holds `A` in `k×m` storage — e.g. the
 /// fully-connected weight gradient `xᵀ·∂y` without materializing `xᵀ`.
 pub fn gemm_at(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -1119,10 +1095,12 @@ mod tests {
     }
 
     #[test]
-    fn gemm_bias_relu_clamps_negatives() {
+    fn bias_cols_relu_clamps_negatives() {
         let a = vec![1., 0., 0., 1.];
         let b = vec![1., -2., 3., -4.];
-        let c = gemm_bias_relu(&a, &b, &[0.5, 0.5], 2, 2, 2);
+        let mut c = vec![0.0; 4];
+        let ep = Epilogue::BiasColsRelu(&[0.5, 0.5]);
+        gemm_ep(&a, Trans::No, &b, Trans::No, &mut c, 2, 2, 2, ep);
         assert_eq!(c, vec![1.5, 0.0, 3.5, 0.0]);
     }
 

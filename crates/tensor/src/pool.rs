@@ -7,8 +7,10 @@
 //! `start = floor(i·H / k)`, `end = ceil((i+1)·H / k)`.
 //!
 //! Fixed and adaptive pools, with or without argmax bookkeeping, all run one
-//! kernel (`window_max`); the public functions only pick the window geometry
-//! and whether to record the winners for [`max_pool2d_backward`].
+//! kernel (`pool_sample`); the public functions only pick the window
+//! geometry and whether to record the winners for [`max_pool2d_backward`].
+//! [`crate::conv::conv2d_relu_pool`] runs the same kernel on each sample's
+//! activation as soon as its convolution finishes.
 
 use crate::conv::out_dim;
 use crate::tensor::Tensor;
@@ -20,9 +22,9 @@ use std::ops::Range;
 #[derive(Debug, Clone)]
 pub struct MaxIndices {
     /// For each output element, the linear index of its source in the input.
-    indices: Vec<usize>,
-    input_dims: [usize; 4],
-    output_dims: [usize; 4],
+    pub(crate) indices: Vec<usize>,
+    pub(crate) input_dims: [usize; 4],
+    pub(crate) output_dims: [usize; 4],
 }
 
 /// Fixed-window max pooling.
@@ -32,20 +34,14 @@ pub fn max_pool2d(input: &Tensor, kernel: usize, stride: usize) -> (Tensor, MaxI
     tracked(input, Windows::Fixed { kernel, stride })
 }
 
-/// [`max_pool2d`] without the argmax bookkeeping — the inference path,
-/// which never backprops, skips the index buffer allocation entirely.
-/// Values are bit-identical to [`max_pool2d`]'s.
-pub fn max_pool2d_values(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
-    window_max(input, Windows::Fixed { kernel, stride }, None)
-}
-
 /// Adaptive max pooling to an `out × out` grid — one SPP pyramid level.
 pub fn adaptive_max_pool2d(input: &Tensor, out_size: usize) -> (Tensor, MaxIndices) {
     tracked(input, Windows::Adaptive(out_size))
 }
 
-/// [`adaptive_max_pool2d`] without the argmax bookkeeping (see
-/// [`max_pool2d_values`]). Values are bit-identical to the tracked variant.
+/// [`adaptive_max_pool2d`] without the argmax bookkeeping — the inference
+/// path, which never backprops, skips the index buffer allocation entirely.
+/// Values are bit-identical to the tracked variant.
 pub fn adaptive_max_pool2d_values(input: &Tensor, out_size: usize) -> Tensor {
     window_max(input, Windows::Adaptive(out_size), None)
 }
@@ -53,6 +49,31 @@ pub fn adaptive_max_pool2d_values(input: &Tensor, out_size: usize) -> Tensor {
 /// Backward pass of [`max_pool2d`] and [`adaptive_max_pool2d`]: routes each
 /// output gradient to the input element that won the max.
 pub fn max_pool2d_backward(grad_out: &Tensor, saved: &MaxIndices) -> Tensor {
+    route_to_winners(grad_out, saved, |_| 1.0)
+}
+
+/// Backward pass of ReLU followed by a max pool, given the pool's output
+/// `pooled` — what [`crate::conv::conv2d_relu_pool_tracked`] returns, with
+/// no full-resolution activation to mask by.
+///
+/// Each winner's ReLU output is the pooled value itself, so the ReLU mask
+/// there is `pooled > 0`; every other input position receives `+0.0`,
+/// which the mask leaves unchanged. Bit for bit this is
+/// [`max_pool2d_backward`] followed by multiplying the gradient by the
+/// 0/1 mask `activation > 0`.
+pub fn relu_max_pool2d_backward(grad_out: &Tensor, pooled: &Tensor, saved: &MaxIndices) -> Tensor {
+    assert_eq!(
+        pooled.dims(),
+        &saved.output_dims,
+        "relu_max_pool2d_backward: pooled shape mismatch"
+    );
+    let y = pooled.data();
+    route_to_winners(grad_out, saved, |i| f32::from(y[i] > 0.0))
+}
+
+/// Scatters `grad_out` onto a zeroed input-shaped gradient: output `i`
+/// updates its winner `src` to `(gx[src] + g) · mask(i)`.
+fn route_to_winners(grad_out: &Tensor, saved: &MaxIndices, mask: impl Fn(usize) -> f32) -> Tensor {
     assert_eq!(
         grad_out.dims(),
         &saved.output_dims,
@@ -60,15 +81,15 @@ pub fn max_pool2d_backward(grad_out: &Tensor, saved: &MaxIndices) -> Tensor {
     );
     let [n, c, h, w] = saved.input_dims;
     let mut gx = vec![0.0f32; n * c * h * w];
-    for (&src, &g) in saved.indices.iter().zip(grad_out.data().iter()) {
-        gx[src] += g;
+    for (i, (&src, &g)) in saved.indices.iter().zip(grad_out.data()).enumerate() {
+        gx[src] = (gx[src] + g) * mask(i);
     }
     Tensor::from_vec([n, c, h, w], gx).expect("pool grad size")
 }
 
 /// Window geometry along both spatial axes.
 #[derive(Debug, Clone, Copy)]
-enum Windows {
+pub(crate) enum Windows {
     /// Square `kernel` windows every `stride` elements, no padding.
     Fixed { kernel: usize, stride: usize },
     /// `bins` windows per axis covering the input exactly.
@@ -77,7 +98,7 @@ enum Windows {
 
 impl Windows {
     /// Output extent for an input extent.
-    fn out_dim(self, input: usize) -> usize {
+    pub(crate) fn out_dim(self, input: usize) -> usize {
         match self {
             Windows::Fixed { kernel, stride } => out_dim(input, kernel, stride, 0),
             Windows::Adaptive(bins) => {
@@ -125,10 +146,8 @@ fn tracked(input: &Tensor, windows: Windows) -> (Tensor, MaxIndices) {
     )
 }
 
-/// The one window-max kernel: each output element is the max of its window,
-/// scanned row-major with a strict `>` so ties keep the first element. When
+/// Pools every sample of `input` in parallel with [`pool_sample`]. When
 /// `argmax` is given, it receives each winner's linear index in `input`.
-/// Samples run in parallel.
 fn window_max(input: &Tensor, windows: Windows, argmax: Option<&mut [usize]>) -> Tensor {
     let (n, c, h, w) = input.shape().nchw();
     let out_dims = (windows.out_dim(h), windows.out_dim(w));
@@ -154,9 +173,12 @@ fn window_max(input: &Tensor, windows: Windows, argmax: Option<&mut [usize]>) ->
     Tensor::from_vec([n, c, out_dims.0, out_dims.1], out).expect("pool output size")
 }
 
-/// [`window_max`] over one `[C, H, W]` sample `x` into `o`. `sink(o_index,
-/// x_index)` sees every winner; a no-op sink compiles the tracking away.
-fn pool_sample(
+/// The one window-max kernel, over one `[C, H, W]` sample `x` into the
+/// `[C, OH, OW]` output `o`. Each output element is the max of its window,
+/// scanned row-major with a strict `>` so ties keep the first element.
+/// `sink(o_index, x_index)` sees every winner; a no-op sink compiles the
+/// tracking away.
+pub(crate) fn pool_sample(
     x: &[f32],
     (c, h, w): (usize, usize, usize),
     windows: Windows,
@@ -167,22 +189,48 @@ fn pool_sample(
     for ci in 0..c {
         for oy in 0..oh {
             let rows = windows.range(oy, h);
-            for ox in 0..ow {
-                let cols = windows.range(ox, w);
-                let mut best = f32::NEG_INFINITY;
-                let mut best_i = 0usize;
-                for iy in rows.clone() {
-                    for ixp in cols.clone() {
-                        let lin = (ci * h + iy) * w + ixp;
-                        if x[lin] > best {
-                            best = x[lin];
+            let olin = (ci * oh + oy) * ow;
+            let o_row = &mut o[olin..olin + ow];
+            if let Windows::Fixed {
+                kernel: 2,
+                stride: 2,
+            } = windows
+            {
+                // The C–P blocks' 2×2/2 pool: walk the window's two input
+                // rows pairwise, with no per-window range arithmetic.
+                let top = (ci * h + rows.start) * w;
+                let (r0, r1) = x[top..top + 2 * w].split_at(w);
+                let pairs = r0.chunks_exact(2).zip(r1.chunks_exact(2));
+                for (ox, (out, (a, b))) in o_row.iter_mut().zip(pairs).enumerate() {
+                    let j = top + 2 * ox;
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_i = 0usize;
+                    for (v, lin) in [(a[0], j), (a[1], j + 1), (b[0], j + w), (b[1], j + w + 1)] {
+                        if v > best {
+                            best = v;
                             best_i = lin;
                         }
                     }
+                    *out = best;
+                    sink(olin + ox, best_i);
                 }
-                let olin = (ci * oh + oy) * ow + ox;
-                o[olin] = best;
-                sink(olin, best_i);
+            } else {
+                for (ox, out) in o_row.iter_mut().enumerate() {
+                    let cols = windows.range(ox, w);
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_i = 0usize;
+                    for iy in rows.clone() {
+                        for ixp in cols.clone() {
+                            let lin = (ci * h + iy) * w + ixp;
+                            if x[lin] > best {
+                                best = x[lin];
+                                best_i = lin;
+                            }
+                        }
+                    }
+                    *out = best;
+                    sink(olin + ox, best_i);
+                }
             }
         }
     }
@@ -233,21 +281,77 @@ mod tests {
     }
 
     #[test]
-    fn values_variants_match_tracked_bitwise() {
+    fn values_variant_matches_tracked_bitwise() {
         let mut rng = SeededRng::new(12);
         let x = Tensor::randn([2, 3, 9, 11], 0.0, 1.0, &mut rng);
-        let (y, _) = max_pool2d(&x, 2, 2);
-        let yv = max_pool2d_values(&x, 2, 2);
-        assert_eq!(y.dims(), yv.dims());
-        for (a, b) in y.data().iter().zip(yv.data().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
         let (z, _) = adaptive_max_pool2d(&x, 4);
         let zv = adaptive_max_pool2d_values(&x, 4);
         assert_eq!(z.dims(), zv.dims());
         for (a, b) in z.data().iter().zip(zv.data().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn pool_2x2_matches_row_major_window_scan() {
+        // Ties, signed zeros, NaN and -inf, on odd sizes (floor pooling):
+        // values and winners must be those of a plain row-major scan from
+        // -inf with a strict `>`, as every other window shape computes.
+        let specials = [0.0, -0.0, 1.0, 1.0, f32::NAN, f32::NEG_INFINITY, -2.0];
+        let mut rng = SeededRng::new(14);
+        let (n, c, h, w) = (2, 3, 9, 11);
+        let data = (0..n * c * h * w)
+            .map(|_| specials[rng.next_u64() as usize % specials.len()])
+            .collect();
+        let x = Tensor::from_vec([n, c, h, w], data).unwrap();
+        let (y, ix) = max_pool2d(&x, 2, 2);
+        assert_eq!(y.dims(), &[n, c, 4, 5]);
+        let mut o = 0;
+        for s in 0..n {
+            for ci in 0..c {
+                let base = (s * c + ci) * h * w;
+                for oy in 0..4 {
+                    for ox in 0..5 {
+                        let (mut best, mut best_i) = (f32::NEG_INFINITY, s * c * h * w);
+                        for (iy, jx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                            let lin = base + (2 * oy + iy) * w + 2 * ox + jx;
+                            if x.data()[lin] > best {
+                                (best, best_i) = (x.data()[lin], lin);
+                            }
+                        }
+                        assert_eq!(y.data()[o].to_bits(), best.to_bits(), "value {o}");
+                        assert_eq!(ix.indices[o], best_i, "winner {o}");
+                        o += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relu_pool_backward_is_pool_backward_then_relu_mask() {
+        // A ReLU output with windows that are all +0.0 (pooled value 0, so
+        // the mask zeroes the gradient, leaving -0.0 where it is negative)
+        // and odd sizes; gradients of both signs.
+        let mut rng = SeededRng::new(15);
+        let pre = Tensor::randn([2, 3, 7, 9], -0.3, 1.0, &mut rng);
+        let act = pre.map(|v| if v > 0.0 { v } else { 0.0 });
+        let (y, ix) = max_pool2d(&act, 2, 2);
+        assert!(y.data().contains(&0.0), "no all-non-positive window");
+        let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
+        let mut want = max_pool2d_backward(&go, &ix);
+        for (g, &a) in want.data_mut().iter_mut().zip(act.data()) {
+            *g *= f32::from(a > 0.0);
+        }
+        let got = relu_max_pool2d_backward(&go, &y, &ix);
+        assert_eq!(got.dims(), want.dims());
+        for (e, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "element {e}: {g} vs {w}");
+        }
+        assert!(got
+            .data()
+            .iter()
+            .any(|g| g.to_bits() == (-0.0f32).to_bits()));
     }
 
     #[test]

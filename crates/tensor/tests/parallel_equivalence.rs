@@ -11,12 +11,20 @@
 
 use dcd_tensor::gemm::gemm_bias;
 use dcd_tensor::{
-    conv2d, conv2d_backward, conv2d_relu, gemm, gemm_at, gemm_bias_relu, gemm_bt, max_pool2d,
-    max_pool2d_backward, SeededRng, Tensor,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_tracked, gemm,
+    gemm_at, gemm_bt, gemm_ep, max_pool2d, max_pool2d_backward, Epilogue, SeededRng, Tensor, Trans,
 };
 
 fn pin_threads() {
     rayon::ensure_threads(4);
+}
+
+/// `relu(A·B + bias)` through the fused column-bias epilogue.
+fn gemm_bias_relu(a: &[f32], b: &[f32], bias: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    let ep = Epilogue::BiasColsRelu(bias);
+    gemm_ep(a, Trans::No, b, Trans::No, &mut c, m, k, n, ep);
+    c
 }
 
 fn assert_bits_eq(par: &[f32], seq: &[f32], what: &str) {
@@ -167,6 +175,34 @@ fn small_batch_conv2d_parallel_matches_sequential_bitwise() {
         let par = conv2d(&x, &w, &b, 2, 0);
         let seq = rayon::force_sequential(|| conv2d(&x, &w, &b, 2, 0));
         assert_bits_eq(par.data(), seq.data(), &format!("conv2d s2 batch {batch}"));
+    }
+}
+
+#[test]
+fn conv2d_relu_pool_parallel_matches_sequential_bitwise() {
+    pin_threads();
+    // The fused C–P kernel at batch 6 (per-sample split) and at batch 1
+    // and 3 (each sample's rows split across the pool), on an odd 25×25
+    // output that pools to 12×12. Argmaxes route a gradient to compare.
+    let mut rng = SeededRng::new(97);
+    let w = Tensor::randn([20, 32, 3, 3], 0.0, 0.1, &mut rng);
+    let b = Tensor::randn([20], 0.0, 0.1, &mut rng);
+    for batch in [1, 3, 6] {
+        let x = Tensor::randn([batch, 32, 25, 25], 0.0, 1.0, &mut rng);
+        let what = format!("conv2d_relu_pool batch {batch}");
+        let par = conv2d_relu_pool(&x, &w, &b, 1, 1);
+        let seq = rayon::force_sequential(|| conv2d_relu_pool(&x, &w, &b, 1, 1));
+        assert_eq!(par.dims(), &[batch, 20, 12, 12]);
+        assert_bits_eq(par.data(), seq.data(), &what);
+        let (par_t, par_ix) = conv2d_relu_pool_tracked(&x, &w, &b, 1, 1);
+        let (seq_t, seq_ix) =
+            rayon::force_sequential(|| conv2d_relu_pool_tracked(&x, &w, &b, 1, 1));
+        assert_bits_eq(par_t.data(), seq.data(), &format!("{what} tracked"));
+        assert_bits_eq(seq_t.data(), seq.data(), &format!("{what} tracked seq"));
+        let go = Tensor::randn(par.shape().clone(), 0.0, 1.0, &mut rng);
+        let par_gx = max_pool2d_backward(&go, &par_ix);
+        let seq_gx = max_pool2d_backward(&go, &seq_ix);
+        assert_bits_eq(par_gx.data(), seq_gx.data(), &format!("{what} argmax"));
     }
 }
 

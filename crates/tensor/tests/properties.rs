@@ -1,8 +1,8 @@
 //! Property-based tests for the tensor kernels.
 
 use dcd_tensor::{
-    adaptive_max_pool2d, conv2d, conv2d_backward, gemm, gemm_at, gemm_bias, gemm_bias_relu,
-    gemm_bt, gemm_ep, max_pool2d, Epilogue, SeededRng, Tensor, Trans,
+    adaptive_max_pool2d, conv2d, conv2d_backward, gemm, gemm_at, gemm_bias, gemm_bt, gemm_ep,
+    max_pool2d, Epilogue, SeededRng, Tensor, Trans,
 };
 use proptest::prelude::*;
 
@@ -277,7 +277,9 @@ proptest! {
         let bias: Vec<f32> = (0..n).map(|_| rng.normal()).collect();
         let plain = gemm(&a, &b, m, k, n);
         let biased = gemm_bias(&a, &b, &bias, m, k, n);
-        let relu = gemm_bias_relu(&a, &b, &bias, m, k, n);
+        let mut relu = vec![0.0f32; m * n];
+        let ep = Epilogue::BiasColsRelu(&bias);
+        gemm_ep(&a, Trans::No, &b, Trans::No, &mut relu, m, k, n, ep);
         for i in 0..m * n {
             let want = plain[i] + bias[i % n];
             // Fused bias adds in the same order → bitwise equal.

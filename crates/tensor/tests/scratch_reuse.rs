@@ -11,7 +11,8 @@
 //! make the counter nondeterministic here.
 
 use dcd_tensor::{
-    conv2d, conv2d_backward, conv2d_relu, gemm_bias_relu, scratch, SeededRng, Tensor,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, gemm_ep, scratch, Epilogue, SeededRng,
+    Tensor, Trans,
 };
 use std::sync::Mutex;
 
@@ -118,6 +119,37 @@ fn conv_scan_batches_do_not_grow_scratch() {
 }
 
 #[test]
+fn conv_relu_pool_scan_batches_do_not_grow_scratch() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    rayon::force_sequential(|| {
+        // The fused C–P kernel adds a per-sample activation buffer to the
+        // padded image and packed slab; all three depend only on the layer
+        // shape, so a batch-32 warm-up covers the scan's ragged chunk of 9
+        // and batch-1 queries too.
+        let mut rng = SeededRng::new(101);
+        let w = Tensor::randn([8, 4, 3, 3], 0.0, 0.2, &mut rng);
+        let b = Tensor::randn([8], 0.0, 0.1, &mut rng);
+        let inputs: Vec<Tensor> = [32usize, 9, 1]
+            .iter()
+            .map(|&n| Tensor::randn([n, 4, 25, 25], 0.0, 1.0, &mut rng))
+            .collect();
+
+        std::hint::black_box(conv2d_relu_pool(&inputs[0], &w, &b, 1, 1));
+        let before = scratch::grow_events();
+        for _ in 0..3 {
+            for x in &inputs {
+                std::hint::black_box(conv2d_relu_pool(x, &w, &b, 1, 1));
+            }
+        }
+        assert_eq!(
+            scratch::grow_events(),
+            before,
+            "conv2d_relu_pool at batch 32, 9 and 1 after a batch-32 warm-up grew the scratch pool"
+        );
+    });
+}
+
+#[test]
 fn fc_steady_state_does_not_grow_scratch() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     rayon::force_sequential(|| {
@@ -134,7 +166,22 @@ fn fc_steady_state_does_not_grow_scratch() {
             .iter()
             .map(|&m| (m, Tensor::randn([m, k], 0.0, 1.0, &mut rng)))
             .collect();
-        let fc = |m: usize, a: &Tensor| gemm_bias_relu(a.data(), b.data(), bias.data(), m, k, n);
+        let fc = |m: usize, a: &Tensor| {
+            let mut c = vec![0.0f32; m * n];
+            let ep = Epilogue::BiasColsRelu(bias.data());
+            gemm_ep(
+                a.data(),
+                Trans::No,
+                b.data(),
+                Trans::No,
+                &mut c,
+                m,
+                k,
+                n,
+                ep,
+            );
+            c
+        };
 
         std::hint::black_box(fc(32, &inputs[0].1));
         let before = scratch::grow_events();
