@@ -42,6 +42,14 @@ RAYON_NUM_THREADS=1 cargo test -q -p dcd-tensor --test parallel_equivalence
 echo "== kernel equivalence under an odd pool (RAYON_NUM_THREADS=3) =="
 RAYON_NUM_THREADS=3 cargo test -q -p dcd-tensor --test parallel_equivalence
 
+# The golden training pin must hold whatever the pool size: the conv
+# backward keeps per-sample gradients in per-thread scratch and sums them in
+# sample order after the join, and an odd pool splits the batch unevenly.
+echo "== golden training pin, pool pinned sequential (RAYON_NUM_THREADS=1) =="
+RAYON_NUM_THREADS=1 cargo test -q -p dcd-nn --test golden
+echo "== golden training pin, odd pool (RAYON_NUM_THREADS=3) =="
+RAYON_NUM_THREADS=3 cargo test -q -p dcd-nn --test golden
+
 # The chaos scenarios must be bit-reproducible regardless of thread count:
 # the serving acceptance suite runs under the default pool and pinned
 # sequential, and both must see identical counts and breaker transitions.

@@ -24,11 +24,21 @@
 //! conv1/2/3 at batch 1 and 32 — as the fused `conv2d_relu_pool` against
 //! `conv2d_relu` followed by `max_pool2d`, single-thread and on the pool.
 //!
+//! Conv-block backward rows (`conv_block_backward`) time the C–P unit's
+//! backward at `nas-trial`'s training shapes (C16-C32-C48 on 64×64
+//! patches, batch 20): the unfused route — `max_pool2d_backward` into a
+//! full-resolution gradient, the ReLU mask over the activation, then
+//! `conv2d_backward` — against the fused `conv2d_relu_pool_backward`, with
+//! the input gradient and without it (as training runs the first block),
+//! single-thread and on the pool.
+//!
 //! Usage: `cargo run --release -p dcd-bench --bin gemm`
 //! (writes `BENCH_gemm.json`)
 
 use dcd_tensor::{
-    conv2d_relu, conv2d_relu_pool, gemm_into, gemm_legacy, max_pool2d, SeededRng, Tensor,
+    conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
+    conv2d_relu_pool_tracked, gemm_into, gemm_legacy, max_pool2d, max_pool2d_backward, SeededRng,
+    Tensor,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -65,6 +75,26 @@ struct BlockTiming {
     pool_speedup: f64,
 }
 
+/// One conv block's backward timings, milliseconds (best of `REPS` runs):
+/// the unfused route against the fused kernel with and without the input
+/// gradient.
+#[derive(Debug, Serialize)]
+struct BackwardTiming {
+    name: String,
+    c_in: usize,
+    hw: usize,
+    c_out: usize,
+    batch: usize,
+    unfused_ms: f64,
+    fused_ms: f64,
+    fused_params_ms: f64,
+    speedup: f64,
+    unfused_pool_ms: f64,
+    fused_pool_ms: f64,
+    fused_params_pool_ms: f64,
+    pool_speedup: f64,
+}
+
 /// The recorded artifact.
 #[derive(Debug, Serialize)]
 struct Report {
@@ -75,6 +105,7 @@ struct Report {
     mode: &'static str,
     kernels: Vec<KernelTiming>,
     conv_blocks: Vec<BlockTiming>,
+    conv_block_backward: Vec<BackwardTiming>,
 }
 
 const REPS: usize = 5;
@@ -199,6 +230,60 @@ fn time_block(name: &str, c_in: usize, hw: usize, c_out: usize, batch: usize) ->
     }
 }
 
+/// Times one 3×3, pad-1 C–P block's backward over a batch of
+/// `c_in`-channel `hw×hw` inputs, unfused vs fused.
+fn time_block_backward(
+    name: &str,
+    c_in: usize,
+    hw: usize,
+    c_out: usize,
+    batch: usize,
+) -> BackwardTiming {
+    let mut rng = SeededRng::new(0xBAC0 ^ (c_in * 31 + hw * 7 + c_out + batch) as u64);
+    let x = Tensor::randn([batch, c_in, hw, hw], 0.0, 1.0, &mut rng);
+    let w = Tensor::randn([c_out, c_in, 3, 3], 0.0, 0.1, &mut rng);
+    let bias = Tensor::randn([c_out], 0.0, 0.1, &mut rng);
+    let act = conv2d_relu(&x, &w, &bias, 1, 1);
+    let (y, ix) = conv2d_relu_pool_tracked(&x, &w, &bias, 1, 1);
+    let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
+    let mut unfused = || {
+        let mut g = max_pool2d_backward(&go, &ix);
+        for (v, &a) in g.data_mut().iter_mut().zip(act.data()) {
+            *v *= f32::from(a > 0.0);
+        }
+        std::hint::black_box(conv2d_backward(&x, &w, &g, 1, 1));
+    };
+    let fused = |input_grad| {
+        std::hint::black_box(conv2d_relu_pool_backward(
+            &x, &w, &y, &ix, &go, 1, 1, input_grad,
+        ));
+    };
+    let (unfused_ms, fused_ms) = (best_ms(&mut unfused), best_ms(|| fused(true)));
+    let fused_params_ms = best_ms(|| fused(false));
+    let (unfused_pool_ms, fused_pool_ms) =
+        (best_pool_ms(&mut unfused), best_pool_ms(|| fused(true)));
+    let fused_params_pool_ms = best_pool_ms(|| fused(false));
+    println!(
+        "{name:18} c_in={c_in:4} hw={hw:4} c_out={c_out:4} b={batch:2}   unfused {unfused_ms:9.2} ms   fused {fused_ms:9.2} ms (params only {fused_params_ms:9.2})   speedup {:.2}x   pool {unfused_pool_ms:9.2} -> {fused_pool_ms:9.2} ms ({fused_params_pool_ms:9.2})",
+        unfused_ms / fused_ms
+    );
+    BackwardTiming {
+        name: name.to_string(),
+        c_in,
+        hw,
+        c_out,
+        batch,
+        unfused_ms,
+        fused_ms,
+        fused_params_ms,
+        speedup: unfused_ms / fused_ms,
+        unfused_pool_ms,
+        fused_pool_ms,
+        fused_params_pool_ms,
+        pool_speedup: unfused_pool_ms / fused_pool_ms,
+    }
+}
+
 fn main() {
     // Spin the pool up with a real parallel call before reading its size.
     let warm: f32 = {
@@ -246,11 +331,20 @@ fn main() {
         conv_blocks.push(time_block(&format!("block3_b{b}"), 128, 25, 256, b));
     }
 
+    // nas-trial's C–P blocks at its training batch of 20: conv1 (4 → 16)
+    // at 64×64, conv2 (16 → 32) at 32×32, conv3 (32 → 48) at 16×16.
+    let conv_block_backward = vec![
+        time_block_backward("block1_bwd_b20", 4, 64, 16, 20),
+        time_block_backward("block2_bwd_b20", 16, 32, 32, 20),
+        time_block_backward("block3_bwd_b20", 32, 16, 48, 20),
+    ];
+
     let report = Report {
         threads,
         mode: "single_thread_forced+pool",
         kernels,
         conv_blocks,
+        conv_block_backward,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write("BENCH_gemm.json", json).expect("write BENCH_gemm.json");

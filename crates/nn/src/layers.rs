@@ -7,9 +7,9 @@
 
 use crate::param::Param;
 use dcd_tensor::{
-    adaptive_max_pool2d, adaptive_max_pool2d_values, conv2d_backward, conv2d_relu_pool,
-    conv2d_relu_pool_tracked, max_pool2d_backward, relu_max_pool2d_backward, MaxIndices, SeededRng,
-    Tensor,
+    adaptive_max_pool2d, adaptive_max_pool2d_values, conv2d_relu_pool, conv2d_relu_pool_backward,
+    conv2d_relu_pool_tracked, max_pool2d_backward, Conv2dGrads, Epilogue, MaxIndices, SeededRng,
+    Tensor, Trans,
 };
 use rayon::prelude::*;
 
@@ -23,6 +23,13 @@ pub trait Layer {
     /// Propagates `grad_out` to the input gradient, accumulating parameter
     /// gradients along the way.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
+    /// the first layer of a network, whose input is the image: accumulates
+    /// the same parameter gradients, bit for bit, and may skip the input
+    /// gradient's work.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
     /// Trainable parameters (empty for stateless layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
@@ -52,7 +59,9 @@ fn mask_relu_grad(grad: &mut Tensor, act: &Tensor) {
 /// Training records the input, the pooled output and the pool's argmax.
 /// The ReLU mask backward needs is the pooled output's sign: each pooled
 /// value is its winner's activation, and every other activation receives
-/// no gradient.
+/// no gradient. Backward is the fused `conv2d_relu_pool_backward`, which
+/// never forms the full-resolution gradient, and
+/// [`Layer::backward_params`] skips the input gradient altogether.
 #[derive(Debug, Clone)]
 pub struct ConvBlock {
     /// Filter bank `[C_out, C_in, K, K]` (odd `K`; padding is `K/2`).
@@ -89,6 +98,33 @@ impl ConvBlock {
     pub fn pad(&self) -> usize {
         self.weight.value.dims()[2] / 2
     }
+
+    /// The fused C–P backward from the recorded forward: accumulates the
+    /// parameter gradients and returns the input gradient when asked for.
+    fn backward_fused(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let pad = self.pad();
+        let s = self
+            .saved
+            .as_ref()
+            .expect("ConvBlock::backward before forward");
+        let Conv2dGrads {
+            input,
+            weight,
+            bias,
+        } = conv2d_relu_pool_backward(
+            &s.input,
+            &self.weight.value,
+            &s.output,
+            &s.pool,
+            grad_out,
+            1,
+            pad,
+            input_grad,
+        );
+        self.weight.grad.axpy(1.0, &weight);
+        self.bias.grad.axpy(1.0, &bias);
+        input
+    }
 }
 
 impl Layer for ConvBlock {
@@ -108,16 +144,12 @@ impl Layer for ConvBlock {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let pad = self.pad();
-        let s = self
-            .saved
-            .as_ref()
-            .expect("ConvBlock::backward before forward");
-        let g = relu_max_pool2d_backward(grad_out, &s.output, &s.pool);
-        let grads = conv2d_backward(&s.input, &self.weight.value, &g, 1, pad);
-        self.weight.grad.axpy(1.0, &grads.weight);
-        self.bias.grad.axpy(1.0, &grads.bias);
-        grads.input
+        self.backward_fused(grad_out, true)
+            .expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_fused(grad_out, false);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -325,11 +357,19 @@ impl Layer for Linear {
             .expect("Linear::backward before forward");
         let (m, k) = x.shape().matrix();
         let n = self.out_features();
-        // gw = xᵀ (k×m) · go (m×n), read straight from x's [m, k] storage.
-        let gw = dcd_tensor::gemm_at(x.data(), grad_out.data(), k, m, n);
-        self.weight
-            .grad
-            .axpy(1.0, &Tensor::from_vec([k, n], gw).expect("gw"));
+        // grad += xᵀ (k×m) · go (m×n), read straight from x's [m, k] storage
+        // and accumulated by the GEMM's write-back: no gradient buffer.
+        dcd_tensor::gemm_ep(
+            x.data(),
+            Trans::Yes,
+            grad_out.data(),
+            Trans::No,
+            self.weight.grad.data_mut(),
+            k,
+            m,
+            n,
+            Epilogue::Accumulate,
+        );
         // gb = column sums of go
         let mut gb = vec![0.0f32; n];
         for row in grad_out.data().chunks(n) {
@@ -414,6 +454,25 @@ impl Layer for Sequential {
         }
     }
 
+    /// Backpropagates through every layer but the first, which runs its
+    /// [`Layer::backward_params`]: the chain's input gradient is never
+    /// formed.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        match rest.split_last_mut() {
+            None => first.backward_params(grad_out),
+            Some((last, mid)) => {
+                let g = mid
+                    .iter_mut()
+                    .rev()
+                    .fold(last.backward(grad_out), |cur, layer| layer.backward(&cur));
+                first.backward_params(&g);
+            }
+        }
+    }
+
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
@@ -431,7 +490,7 @@ impl Layer for Sequential {
 mod tests {
     use super::*;
     use dcd_tensor::grad_check::{numeric_grad, rel_error};
-    use dcd_tensor::{conv2d_relu, max_pool2d};
+    use dcd_tensor::{conv2d_backward, conv2d_relu, max_pool2d};
 
     fn rng() -> SeededRng {
         SeededRng::new(1234)
@@ -545,13 +604,56 @@ mod tests {
             let mut g = max_pool2d_backward(&go, &ix);
             mask_relu_grad(&mut g, &act);
             let want = conv2d_backward(&x, wt, &g, 1, pad);
-            assert_bits_eq(&gx, &want.input);
+            assert_bits_eq(&gx, want.input.as_ref().unwrap());
             let mut want_w = Tensor::zeros(wt.shape().clone());
             want_w.axpy(1.0, &want.weight);
             assert_bits_eq(&block.weight.grad, &want_w);
             let mut want_b = Tensor::zeros(b.shape().clone());
             want_b.axpy(1.0, &want.bias);
             assert_bits_eq(&block.bias.grad, &want_b);
+        }
+    }
+
+    /// Every parameter gradient's bits.
+    fn grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
+        layer
+            .params_mut()
+            .iter()
+            .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn backward_params_leaves_backwards_param_grads() {
+        // Two accumulating steps each, so the skipped input gradient cannot
+        // hide behind zeroed gradients; a conv block alone (its override)
+        // and a chain that starts with one (Sequential's).
+        let mut r = SeededRng::new(31);
+        let x = Tensor::randn([3, 2, 9, 9], 0.0, 1.0, &mut r);
+        let block = ConvBlock::new(2, 4, 3, &mut r);
+        let chain = || {
+            let mut r = SeededRng::new(32);
+            Sequential::new()
+                .push(ConvBlock::new(2, 4, 3, &mut r))
+                .push(ConvBlock::new(4, 3, 3, &mut r))
+                .push(SppLayer::new([2, 1]))
+                .push(Linear::new(15, 2, &mut r))
+        };
+        let cases: [(Box<dyn Layer>, Box<dyn Layer>); 2] = [
+            (Box::new(block.clone()), Box::new(block)),
+            (Box::new(chain()), Box::new(chain())),
+        ];
+        for (mut full, mut params_only) in cases {
+            for _ in 0..2 {
+                let y = full.forward(&x);
+                let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut r);
+                let gx = full.backward(&go);
+                assert_eq!(gx.dims(), x.dims());
+                assert_bits_eq(&params_only.forward(&x), &y);
+                params_only.backward_params(&go);
+            }
+            assert_eq!(grad_bits(&mut *full), grad_bits(&mut *params_only));
+            assert!(grad_bits(&mut *full).iter().flatten().any(|&b| b != 0));
         }
     }
 

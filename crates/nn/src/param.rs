@@ -33,11 +33,6 @@ impl Param {
         }
     }
 
-    /// Resets the gradient to zero (start of a minibatch).
-    pub fn zero_grad(&mut self) {
-        self.grad.data_mut().iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// Number of scalar parameters.
     pub fn numel(&self) -> usize {
         self.value.numel()
@@ -54,13 +49,5 @@ mod tests {
         assert_eq!(p.grad.sum(), 0.0);
         assert_eq!(p.velocity.sum(), 0.0);
         assert_eq!(p.numel(), 6);
-    }
-
-    #[test]
-    fn zero_grad_clears() {
-        let mut p = Param::new(Tensor::ones([4]), false);
-        p.grad.data_mut().copy_from_slice(&[1., 2., 3., 4.]);
-        p.zero_grad();
-        assert_eq!(p.grad.sum(), 0.0);
     }
 }

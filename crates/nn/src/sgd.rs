@@ -45,18 +45,26 @@ impl Sgd {
         }
     }
 
-    /// Applies one update to every parameter, then clears the gradients.
+    /// Applies one update to every parameter, clearing each gradient as it
+    /// is consumed: one pass over the four arrays.
     pub fn step(&self, params: &mut [&mut Param]) {
         for p in params.iter_mut() {
             let wd = if p.decay { self.weight_decay } else { 0.0 };
-            let n = p.value.numel();
-            for i in 0..n {
-                let g = p.grad.data()[i] + wd * p.value.data()[i];
-                let v = self.momentum * p.velocity.data()[i] + g;
-                p.velocity.data_mut()[i] = v;
-                p.value.data_mut()[i] -= self.lr * v;
+            let Param {
+                value,
+                grad,
+                velocity,
+                ..
+            } = &mut **p;
+            assert_eq!(value.shape(), grad.shape(), "gradient shape mismatch");
+            assert_eq!(value.shape(), velocity.shape(), "velocity shape mismatch");
+            let lanes = value.data_mut().iter_mut().zip(velocity.data_mut());
+            for ((w, v), gr) in lanes.zip(grad.data_mut()) {
+                let g = *gr + wd * *w;
+                *v = self.momentum * *v + g;
+                *w -= self.lr * *v;
+                *gr = 0.0;
             }
-            p.zero_grad();
         }
     }
 }

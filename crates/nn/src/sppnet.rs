@@ -239,10 +239,24 @@ impl SppNet {
 
     /// Backward pass from head gradients; returns `d loss / d input`.
     pub fn backward(&mut self, grad_obj: &Tensor, grad_box: &Tensor) -> Tensor {
+        let g = self.heads_backward(grad_obj, grad_box);
+        self.trunk.backward(&g)
+    }
+
+    /// [`SppNet::backward`] without `d loss / d input`, which training
+    /// never reads: the same parameter gradients, bit for bit, and the
+    /// first conv block skips its input-gradient GEMM and col2im.
+    pub fn backward_params(&mut self, grad_obj: &Tensor, grad_box: &Tensor) {
+        let g = self.heads_backward(grad_obj, grad_box);
+        self.trunk.backward_params(&g);
+    }
+
+    /// Backpropagates through both heads; returns the trunk-output gradient.
+    fn heads_backward(&mut self, grad_obj: &Tensor, grad_box: &Tensor) -> Tensor {
         let n = grad_obj.dims()[0];
         let g_obj = self.head_obj.backward(&grad_obj.clone().reshape([n, 1]));
         let g_box = self.head_box.backward(grad_box);
-        self.trunk.backward(&g_obj.add(&g_box))
+        g_obj.add(&g_box)
     }
 
     /// All trainable parameters: conv blocks, FC layers, then the
@@ -384,6 +398,31 @@ mod tests {
             let err = l2_error(grad, &num);
             assert!(err < 3e-2, "param {i} gradient error {err}");
         }
+    }
+
+    #[test]
+    fn backward_params_accumulates_backwards_grads() {
+        let mut r = rng();
+        let (mut a, mut b) = (
+            SppNet::new(SppNetConfig::tiny(), &mut SeededRng::new(4)),
+            SppNet::new(SppNetConfig::tiny(), &mut SeededRng::new(4)),
+        );
+        let x = Tensor::randn([3, 1, 16, 16], 0.0, 1.0, &mut r);
+        let (go, gb) = (
+            Tensor::randn([3], 0.0, 1.0, &mut r),
+            Tensor::randn([3, 4], 0.0, 1.0, &mut r),
+        );
+        a.forward(&x);
+        a.backward(&go, &gb);
+        b.forward(&x);
+        b.backward_params(&go, &gb);
+        let bits = |net: &mut SppNet| -> Vec<u32> {
+            net.params_mut()
+                .iter()
+                .flat_map(|p| p.grad.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&mut a), bits(&mut b));
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl Trainer {
         let out = model.forward(&x);
         let (obj_loss, grad_obj) = bce_with_logits(&out.obj_logits, &obj_t);
         let (box_loss, grad_box) = smooth_l1(&out.boxes, &box_t, &mask);
-        model.backward(&grad_obj, &grad_box.scale(self.config.box_loss_weight));
+        model.backward_params(&grad_obj, &grad_box.scale(self.config.box_loss_weight));
         sgd.step(&mut model.params_mut());
         let total = obj_loss + self.config.box_loss_weight * box_loss;
         (total, obj_loss, box_loss)

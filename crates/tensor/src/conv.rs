@@ -26,13 +26,28 @@
 //! sample's activation is written into a per-thread scratch buffer (the
 //! epilogue writes every element, so again no memset) and pooled from
 //! there into the 4× smaller output, so the full-resolution activation
-//! never reaches a tensor. The backward pass builds per-sample im2col and
-//! gradient columns in the worker's scratch pool. In steady state neither
-//! direction allocates per sample.
+//! never reaches a tensor.
+//!
+//! The backward pass is one per-sample kernel too, shared by
+//! [`conv2d_backward`] and the C–P unit's [`conv2d_relu_pool_backward`],
+//! which first scatters the pooled gradient through the ReLU mask into a
+//! per-thread scratch buffer — the full-resolution gradient never reaches
+//! a tensor either. The weight gradient `gy·colsᵀ` is a `KC`-sliced GEMM
+//! (in whichever orientation wastes fewer tile lanes) whose im2col
+//! operand is packed per slice straight from a channel-last zero-padded
+//! copy of the image — each kernel row's window elements are one
+//! contiguous run there, so packing is plain copies — with its `mul_add`
+//! chains carried across slices; the bias gradient's row sums come off
+//! the packed `gy` slices. The input gradient, when wanted, is
+//! `Wᵀ·gy` into overwrite-only scratch, scattered by a col2im whose
+//! stride-1 rows are slice adds straight into the output; the C–P
+//! backward skips it entirely when asked for parameter gradients only.
+//! Per-sample weight and bias gradients are summed in sample order after
+//! the join. In steady state neither direction allocates per sample.
 
-use crate::gemm::{gemm_bt_acc, gemm_packed, gemm_slab, select_nr, Epilogue, PackedLhs, Trans};
-use crate::gemm::{NR_MAX, PAR_WORK};
-use crate::pool::{pool_sample, MaxIndices, Windows};
+use crate::gemm::{gemm_packed, gemm_slab, gemm_slice, interleave, Epilogue, PackedLhs, Trans};
+use crate::gemm::{select_mr, select_nr, NR_MAX, PAR_WORK};
+use crate::pool::{pool_sample, relu_pool2x2_backward_sample, MaxIndices, Windows};
 use crate::scratch;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -55,11 +70,13 @@ pub fn out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize 
     (input + 2 * pad - kernel) / stride + 1
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Gradients produced by [`conv2d_backward`] and
+/// [`conv2d_relu_pool_backward`].
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
-    /// `d loss / d input`, same shape as the forward input.
-    pub input: Tensor,
+    /// `d loss / d input`, same shape as the forward input; `None` when the
+    /// caller asked for parameter gradients only.
+    pub input: Option<Tensor>,
     /// `d loss / d weight`, same shape as the weight.
     pub weight: Tensor,
     /// `d loss / d bias`, same shape as the bias.
@@ -91,6 +108,13 @@ impl Geom {
             .filter(|&iy| iy < self.h)
     }
 
+    /// The lane of im2col row `p = (ci·kh + ki)·kw + kj` in the channel-last
+    /// order `(ki·kw + kj)·c + ci` the weight gradient packs.
+    fn lane(&self, p: usize) -> usize {
+        let taps = self.kh * self.kw;
+        p % taps * self.c + p / taps
+    }
+
     /// The output columns `ox` whose tap `kj` lands on the image.
     fn in_cols(&self, kj: usize) -> Range<usize> {
         let s = self.stride;
@@ -100,53 +124,38 @@ impl Geom {
     }
 }
 
-/// Unpacks one sample `[C, H, W]` into im2col columns
-/// `[C·KH·KW, OH·OW]` (row-major, column index = oh·OW + ow).
-///
-/// `cols` must be zeroed (a fresh [`scratch::take`] buffer is): padding
-/// positions are skipped, not written.
-fn im2col_into(x: &[f32], g: &Geom, cols: &mut [f32]) {
-    let ospatial = g.oh * g.ow;
-    debug_assert_eq!(cols.len(), g.c * g.kh * g.kw * ospatial);
-    let mut rows = cols.chunks_exact_mut(ospatial);
-    for ci in 0..g.c {
-        for ki in 0..g.kh {
-            for kj in 0..g.kw {
-                let dst = rows.next().expect("one im2col row per tap");
-                let oxs = g.in_cols(kj);
-                for oy in 0..g.oh {
-                    let Some(iy) = g.in_row(oy, ki) else {
-                        continue; // zero padding
-                    };
-                    let src_row = &x[(ci * g.h + iy) * g.w..(ci * g.h + iy + 1) * g.w];
-                    for ox in oxs.clone() {
-                        dst[oy * g.ow + ox] = src_row[ox * g.stride + kj - g.pad];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Scatters im2col columns back into a `[C, H, W]` gradient (the adjoint of
-/// [`im2col_into`]); overlapping windows accumulate into `x`, which must be
-/// zeroed on entry.
+/// Scatters a sample's im2col-shaped gradient `cols` (`[C·KH·KW, OH·OW]`)
+/// back onto its `[C, H, W]` input gradient `x`, accumulating overlapping
+/// windows: the adjoint of the im2col unpacking. Each element of `x` sums
+/// its taps in `(ki, kj)` order onto what `x` held (zeros for a fresh
+/// gradient). At stride 1 each output row's run is one contiguous slice add.
 fn col2im_into(cols: &[f32], g: &Geom, x: &mut [f32]) {
     let ospatial = g.oh * g.ow;
     debug_assert_eq!(x.len(), g.c * g.h * g.w);
     let mut rows = cols.chunks_exact(ospatial);
-    for ci in 0..g.c {
+    for plane in x.chunks_exact_mut(g.h * g.w) {
         for ki in 0..g.kh {
             for kj in 0..g.kw {
                 let src = rows.next().expect("one im2col row per tap");
                 let oxs = g.in_cols(kj);
+                if oxs.is_empty() {
+                    continue; // the tap only ever lands in the padding
+                }
+                let (len, x0) = (oxs.len(), oxs.start * g.stride + kj - g.pad);
                 for oy in 0..g.oh {
                     let Some(iy) = g.in_row(oy, ki) else {
-                        continue;
+                        continue; // zero padding
                     };
-                    let dst_row = &mut x[(ci * g.h + iy) * g.w..(ci * g.h + iy + 1) * g.w];
-                    for ox in oxs.clone() {
-                        dst_row[ox * g.stride + kj - g.pad] += src[oy * g.ow + ox];
+                    let src = &src[oy * g.ow + oxs.start..oy * g.ow + oxs.end];
+                    let dst = &mut plane[iy * g.w..(iy + 1) * g.w];
+                    if g.stride == 1 {
+                        for (d, &v) in dst[x0..x0 + len].iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst[x0..].iter_mut().step_by(g.stride).zip(src) {
+                            *d += v;
+                        }
                     }
                 }
             }
@@ -437,7 +446,7 @@ pub fn conv2d_relu_pool(
 
 /// [`conv2d_relu_pool`] that also records each pooled element's argmax in
 /// the (never materialized) activation — what `max_pool2d` would return —
-/// for [`crate::pool::relu_max_pool2d_backward`].
+/// for [`conv2d_relu_pool_backward`].
 pub fn conv2d_relu_pool_tracked(
     input: &Tensor,
     weight: &Tensor,
@@ -491,19 +500,371 @@ fn conv_relu_pool(
     (y, pool)
 }
 
-/// Convolution backward pass: gradients w.r.t. input, weight and bias.
-pub fn conv2d_backward(
+/// `k`-slice of the weight-gradient GEMM, in output positions: a slice of
+/// both packed operands (at most `288·256` floats of im2col columns, 295 KB,
+/// for a 32-channel 3×3 layer) stays in L2 while the register tiles sweep it.
+const KC: usize = 256;
+
+/// How a sample's weight-gradient GEMM `gw = gy·colsᵀ` (`c_out × k`, over
+/// the `OH·OW` output positions) maps onto the register tile. `mul_add` is
+/// symmetric in its two factors, so the transposed product `gwᵀ =
+/// cols·gyᵀ` gives the same bits; the orientation whose padded tiles waste
+/// less runs.
+#[derive(Debug, Clone, Copy)]
+struct GwTile {
+    /// Whether the im2col columns are the left operand (`gwᵀ` is formed).
+    cols_lhs: bool,
+    tile: (usize, usize),
+    /// Logical rows × columns of the product.
+    m: usize,
+    n: usize,
+    /// Row stride of a sample's accumulator: `n` in whole column panels.
+    ld: usize,
+    /// Floats in a sample's accumulator: `m` in whole row panels × `ld`.
+    len: usize,
+}
+
+impl GwTile {
+    fn new(c_out: usize, k: usize) -> Self {
+        let plan = |cols_lhs: bool| {
+            let (m, n) = if cols_lhs { (k, c_out) } else { (c_out, k) };
+            let tile = (select_mr(m), select_nr(n));
+            let ld = n.next_multiple_of(tile.1);
+            GwTile {
+                cols_lhs,
+                tile,
+                m,
+                n,
+                ld,
+                len: m.next_multiple_of(tile.0) * ld,
+            }
+        };
+        // Tile area swept, with lanes of a tile narrower than the widest
+        // (half-width vectors) counted at their relative cost.
+        let cost = |t: &GwTile| t.len * (NR_MAX / t.tile.1);
+        let (lhs, rhs) = (plan(true), plan(false));
+        if cost(&rhs) < cost(&lhs) {
+            rhs
+        } else {
+            lhs
+        }
+    }
+
+    /// Index of `gw[co][p]` in a sample's accumulator.
+    fn at(&self, co: usize, p: usize) -> usize {
+        if self.cols_lhs {
+            p * self.ld + co
+        } else {
+            co * self.ld + p
+        }
+    }
+
+    /// Panel heights of the im2col and `gy` operands.
+    fn lanes(&self) -> (usize, usize) {
+        if self.cols_lhs {
+            self.tile
+        } else {
+            (self.tile.1, self.tile.0)
+        }
+    }
+}
+
+/// Copies one sample `[C, H, W]` into `xp` channel-last, as `[H + 2·pad,
+/// W + 2·pad, C]` with a zero border, so that for each kernel row `ki` the
+/// `KW·C` window elements `(ki, kj, ci)` of an output position are one
+/// contiguous run. Writes every element of `xp`.
+fn pad_hwc_into(x: &[f32], g: &Geom, xp: &mut [f32]) {
+    let (c, row) = (g.c, (g.w + 2 * g.pad) * g.c);
+    let (top, rest) = xp.split_at_mut(g.pad * row);
+    let (body, bottom) = rest.split_at_mut(g.h * row);
+    top.fill(0.0);
+    bottom.fill(0.0);
+    let mut starts = [0usize; NR_MAX];
+    for (iy, dst) in body.chunks_exact_mut(row).enumerate() {
+        dst[..g.pad * c].fill(0.0);
+        dst[(g.pad + g.w) * c..].fill(0.0);
+        for c0 in (0..c).step_by(NR_MAX) {
+            let starts = &mut starts[..NR_MAX.min(c - c0)];
+            for (j, s) in starts.iter_mut().enumerate() {
+                *s = ((c0 + j) * g.h + iy) * g.w;
+            }
+            interleave(x, starts, g.w, c, &mut dst[g.pad * c + c0..]);
+        }
+    }
+}
+
+/// Packs output positions `ps` of a sample's im2col matrix into
+/// `lanes`-row panels, k-major (the layout [`gemm_slice`] sweeps), from
+/// the channel-last padded image `xp` (see [`pad_hwc_into`]). Lane `l` of
+/// a position holds window element `(ki, kj, ci)` with `l = (ki·KW + kj)·C
+/// + ci` ([`Geom::lane`]), so each panel's step is a few contiguous copies.
+/// Lanes past a ragged last panel are zeroed, so `out` may hold stale data.
+fn pack_cols(xp: &[f32], g: &Geom, ps: Range<usize>, lanes: usize, out: &mut [f32]) {
+    let (run, wp) = (g.kw * g.c, g.w + 2 * g.pad);
+    let k = g.kh * run;
+    let len = ps.len();
+    let rows = PositionRuns {
+        p: ps.start,
+        start: ps.start,
+        end: ps.end,
+        ow: g.ow,
+        row_step: wp * g.stride * g.c,
+        col_step: g.stride * g.c,
+    };
+    let mut pieces = [(0usize, 0usize, 0usize); NR_MAX];
+    for (pi, panel) in out
+        .chunks_exact_mut(lanes * len)
+        .take(k.div_ceil(lanes))
+        .enumerate()
+    {
+        // The panel's lanes `l0..l0 + width` cut at kernel-row boundaries:
+        // `(lane, xp offset, count)` pieces, each one contiguous copy.
+        let (l0, width) = (pi * lanes, lanes.min(k - pi * lanes));
+        let mut npieces = 0;
+        let mut l = l0;
+        while l < l0 + width {
+            let (ki, j) = (l / run, l % run);
+            let count = (run - j).min(l0 + width - l);
+            pieces[npieces] = (l - l0, ki * wp * g.c + j, count);
+            npieces += 1;
+            l += count;
+        }
+        let pieces = &pieces[..npieces];
+        if let [(0, off, n)] = *pieces {
+            if n == lanes && copy_whole_steps(xp, rows.clone(), off, panel, lanes) {
+                continue;
+            }
+        }
+        for (q0, count, at) in rows.clone() {
+            for t in 0..count {
+                let dst = &mut panel[(q0 + t) * lanes..(q0 + t + 1) * lanes];
+                let src = &xp[at + t * rows.col_step..];
+                for &(lane, off, n) in pieces {
+                    for (d, &v) in dst[lane..lane + n].iter_mut().zip(&src[off..off + n]) {
+                        *d = v;
+                    }
+                }
+                dst[width..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// A slice `start..end` of output positions as runs along output rows:
+/// items `(q0, count, at)` are `count` positions from slice offset `q0`,
+/// the first one's window at `xp[at..]` in the channel-last padded image.
+#[derive(Clone)]
+struct PositionRuns {
+    p: usize,
+    start: usize,
+    end: usize,
+    ow: usize,
+    /// `xp` offsets of one output row and one output column.
+    row_step: usize,
+    col_step: usize,
+}
+
+impl Iterator for PositionRuns {
+    type Item = (usize, usize, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.p >= self.end {
+            return None;
+        }
+        let (oy, ox) = (self.p / self.ow, self.p % self.ow);
+        let count = (self.ow - ox).min(self.end - self.p);
+        let run = (
+            self.p - self.start,
+            count,
+            oy * self.row_step + ox * self.col_step,
+        );
+        self.p += count;
+        Some(run)
+    }
+}
+
+/// [`pack_cols`]'s steps for a panel whose `lanes` lanes are one
+/// contiguous piece of each window, at `off` within it, as fixed-size
+/// copies. Returns `false`, writing nothing, for a width it has no
+/// fixed-size copy for.
+fn copy_whole_steps(
+    xp: &[f32],
+    rows: PositionRuns,
+    off: usize,
+    panel: &mut [f32],
+    lanes: usize,
+) -> bool {
+    fn steps<const L: usize>(xp: &[f32], rows: PositionRuns, off: usize, panel: &mut [f32]) {
+        let step = rows.col_step;
+        for (q0, count, at) in rows {
+            let dst = panel[q0 * L..(q0 + count) * L].chunks_exact_mut(L);
+            for (t, d) in dst.enumerate() {
+                let src = at + t * step + off;
+                d.copy_from_slice(&xp[src..src + L]);
+            }
+        }
+    }
+    match lanes {
+        32 => steps::<32>(xp, rows, off, panel),
+        16 => steps::<16>(xp, rows, off, panel),
+        6 => steps::<6>(xp, rows, off, panel),
+        4 => steps::<4>(xp, rows, off, panel),
+        _ => return false,
+    }
+    true
+}
+
+/// Packs columns `ps` of a sample's `gy` (`[c_out, OH·OW]`) into
+/// `lanes`-row panels, k-major, zeroing lanes past a ragged last panel,
+/// and adds each row's elements, in column order, onto its entry of `sums`.
+fn pack_gy(
+    gy: &[f32],
+    ospatial: usize,
+    ps: Range<usize>,
+    lanes: usize,
+    out: &mut [f32],
+    sums: &mut [f32],
+) {
+    let len = ps.len();
+    let mut starts = [0usize; NR_MAX];
+    for ((pi, panel), sums) in out
+        .chunks_exact_mut(lanes * len)
+        .enumerate()
+        .zip(sums.chunks_mut(lanes))
+    {
+        let width = sums.len();
+        let starts = &mut starts[..width];
+        for (r, s) in starts.iter_mut().enumerate() {
+            *s = (pi * lanes + r) * ospatial + ps.start;
+        }
+        interleave(gy, starts, len, lanes, panel);
+        for step in panel.chunks_exact_mut(lanes) {
+            step[width..].fill(0.0);
+            for (s, &v) in sums.iter_mut().zip(&step[..width]) {
+                *s += v;
+            }
+        }
+    }
+}
+
+/// Where each sample's gradient w.r.t. the convolution output comes from.
+#[derive(Clone, Copy)]
+enum OutGrad<'a> {
+    /// Given at full resolution, `[N, C_out, OH, OW]`.
+    Dense(&'a [f32]),
+    /// Through the C–P unit's ReLU and 2×2/2 max pool: the gradient w.r.t.
+    /// the pooled output, the pooled output and its argmax.
+    Pooled {
+        go: &'a [f32],
+        y: &'a [f32],
+        winners: &'a [usize],
+    },
+}
+
+/// One backward call's shared state.
+struct Backward {
+    g: Geom,
+    c_out: usize,
+    k: usize,
+    gw: GwTile,
+    /// `Wᵀ` packed once for every sample's `gcols = Wᵀ·gy`; `None` when the
+    /// input gradient is not wanted.
+    pwt: Option<PackedLhs>,
+}
+
+impl Backward {
+    /// One sample: writes its weight gradient (a [`GwTile`] accumulator)
+    /// and then its bias gradient into `acc`, and scatters its input
+    /// gradient onto the zeroed `gx` when wanted.
+    fn sample(&self, s: usize, x: &[f32], src: OutGrad, acc: &mut [f32], gx: Option<&mut [f32]>) {
+        let (g, c_out) = (self.g, self.c_out);
+        let ospatial = g.oh * g.ow;
+        let sample_out = c_out * ospatial;
+        let mut scattered = Vec::new();
+        let gy = match src {
+            OutGrad::Dense(go) => &go[s * sample_out..(s + 1) * sample_out],
+            OutGrad::Pooled { go, y, winners } => {
+                let pooled = c_out * (g.oh / 2) * (g.ow / 2);
+                let o = s * pooled..(s + 1) * pooled;
+                scattered = scratch::take_overwrite(sample_out);
+                relu_pool2x2_backward_sample(
+                    (&go[o.clone()], &y[o.clone()], &winners[o]),
+                    s * sample_out,
+                    (c_out, g.oh, g.ow),
+                    &mut scattered,
+                );
+                &scattered[..]
+            }
+        };
+        let (gw, gb) = acc.split_at_mut(self.gw.len);
+        self.param_grads(x, gy, gw, gb);
+        if let (Some(pwt), Some(gx)) = (&self.pwt, gx) {
+            // gcols = Wᵀ [k, c_out] · gy [c_out, os]; every element stored.
+            let mut gcols = scratch::take_overwrite(self.k * ospatial);
+            gemm_packed(pwt, gy, Trans::No, &mut gcols, ospatial, Epilogue::Store);
+            col2im_into(&gcols, &g, gx);
+            scratch::release(gcols);
+        }
+        scratch::release(scattered);
+    }
+
+    /// `gw` (the sample's accumulator) `= gy · colsᵀ` and `gb` = the row
+    /// sums of `gy`, `KC` output positions at a time: each slice of the
+    /// im2col columns is packed straight from a channel-last zero-padded
+    /// copy of the image and each slice of `gy` from its rows, and every
+    /// element's `mul_add` chain, and every row sum, carries across slices.
+    fn param_grads(&self, x: &[f32], gy: &[f32], gw: &mut [f32], gb: &mut [f32]) {
+        let (g, t) = (self.g, self.gw);
+        let ospatial = g.oh * g.ow;
+        let mut xp = scratch::take_overwrite(g.c * (g.h + 2 * g.pad) * (g.w + 2 * g.pad));
+        pad_hwc_into(x, &g, &mut xp);
+        let kc = KC.min(ospatial);
+        let (cols_lanes, gy_lanes) = t.lanes();
+        // Each operand's panels, in floats per k-step.
+        let (cols_w, gy_w) = (
+            self.k.next_multiple_of(cols_lanes),
+            self.c_out.next_multiple_of(gy_lanes),
+        );
+        let mut cpack = scratch::take_overwrite(cols_w * kc);
+        let mut gpack = scratch::take_overwrite(gy_w * kc);
+        // `Iterator::sum`'s starting value, so each row sum is its fold.
+        gb.fill([0.0f32; 0].iter().sum());
+        for p0 in (0..ospatial).step_by(kc) {
+            let ps = p0..(p0 + kc).min(ospatial);
+            let len = ps.len();
+            let (cols, gys) = (&mut cpack[..cols_w * len], &mut gpack[..gy_w * len]);
+            pack_cols(&xp, &g, ps.clone(), cols_lanes, cols);
+            pack_gy(gy, ospatial, ps, gy_lanes, gys, gb);
+            let (a, b) = if t.cols_lhs {
+                (&cpack, &gpack)
+            } else {
+                (&gpack, &cpack)
+            };
+            gemm_slice(t.tile, a, b, len, (t.m, t.n), gw, t.ld, p0 == 0);
+        }
+        scratch::release(gpack);
+        scratch::release(cpack);
+        scratch::release(xp);
+    }
+}
+
+/// Shared body of [`conv2d_backward`] and [`conv2d_relu_pool_backward`]:
+/// per sample (in parallel) the gradient w.r.t. the convolution output,
+/// the weight, bias and — when `input_grad` — input gradients, then the
+/// weight and bias gradients summed over samples in sample order.
+fn backward(
     input: &Tensor,
     weight: &Tensor,
-    grad_out: &Tensor,
-    stride: usize,
-    pad: usize,
+    (stride, pad): (usize, usize),
+    src: OutGrad,
+    input_grad: bool,
 ) -> Conv2dGrads {
     let (n, c_in, h, w) = input.shape().nchw();
-    let (c_out, _, kh, kw) = weight.shape().nchw();
-    let (gn, gc, oh, ow) = grad_out.shape().nchw();
-    assert_eq!(gn, n, "conv2d_backward: batch mismatch");
-    assert_eq!(gc, c_out, "conv2d_backward: channel mismatch");
+    let (c_out, wc_in, kh, kw) = weight.shape().nchw();
+    assert_eq!(
+        c_in, wc_in,
+        "conv2d_backward: input channels {c_in} != weight channels {wc_in}"
+    );
     let g = Geom {
         c: c_in,
         h,
@@ -512,83 +873,188 @@ pub fn conv2d_backward(
         kw,
         stride,
         pad,
-        oh,
-        ow,
+        oh: out_dim(h, kh, stride, pad),
+        ow: out_dim(w, kw, stride, pad),
     };
     let k = c_in * kh * kw;
-    let ospatial = oh * ow;
-    let sample_in = c_in * h * w;
-    let sample_out = c_out * ospatial;
     let _span = dcd_obs::span("conv2d.backward", dcd_obs::Category::Conv);
-    // Three per-sample GEMMs (grad-input, grad-weight, forward-shaped cols).
-    dcd_obs::counter!("conv.flops").add(6 * (n * c_out * k * ospatial) as u64);
+    // The weight-gradient GEMM per sample, plus the input-gradient one.
+    let gemms = if input_grad { 2 } else { 1 };
+    dcd_obs::counter!("conv.flops").add(2 * gemms * (n * c_out * k * g.oh * g.ow) as u64);
 
-    // Wᵀ [k, c_out] packed once straight from the weight's [c_out, k]
-    // storage — no transpose buffer — and shared by every sample's
-    // grad-input GEMM.
-    let pwt = PackedLhs::pack(weight.data(), Trans::Yes, k, c_out);
-
-    struct PerSample {
-        gx: Vec<f32>,
-        gw: Vec<f32>,
-        gb: Vec<f32>,
+    let b = Backward {
+        g,
+        c_out,
+        k,
+        gw: GwTile::new(c_out, k),
+        // Wᵀ [k, c_out] packed straight from the weight's [c_out, k] storage.
+        pwt: input_grad.then(|| PackedLhs::pack(weight.data(), Trans::Yes, k, c_out)),
+    };
+    let per_sample = b.gw.len + c_out;
+    let sample_in = c_in * h * w;
+    // Every sample writes its whole accumulator: no memset needed.
+    let mut acc = scratch::take_overwrite(n * per_sample);
+    let samples = input.data().par_chunks(sample_in);
+    let mut gx = input_grad.then(|| vec![0.0f32; n * sample_in]);
+    match gx.as_mut() {
+        Some(gx) => acc
+            .par_chunks_mut(per_sample)
+            .zip(gx.par_chunks_mut(sample_in))
+            .zip(samples)
+            .enumerate()
+            .for_each(|(s, ((a, gx), x))| b.sample(s, x, src, a, Some(gx))),
+        None => acc
+            .par_chunks_mut(per_sample)
+            .zip(samples)
+            .enumerate()
+            .for_each(|(s, (a, x))| b.sample(s, x, src, a, None)),
     }
 
-    let results: Vec<(usize, PerSample)> = input
-        .data()
-        .par_chunks(sample_in)
-        .zip(grad_out.data().par_chunks(sample_out))
-        .enumerate()
-        .map(|(i, (x, go))| {
-            let mut cols = scratch::take(k * ospatial);
-            im2col_into(x, &g, &mut cols);
-            let mut acc = PerSample {
-                gx: vec![0.0; sample_in],
-                gw: vec![0.0; c_out * k],
-                gb: vec![0.0; c_out],
-            };
-            // grad_weight += go [c_out, os] · colsᵀ — reads `cols` in its
-            // [k, os] storage directly via the transposed-B kernel.
-            gemm_bt_acc(go, &cols, &mut acc.gw, c_out, ospatial, k);
-            // grad_bias += row sums of go
-            for co in 0..c_out {
-                acc.gb[co] = go[co * ospatial..(co + 1) * ospatial].iter().sum();
-            }
-            // grad_cols = Wᵀ [k, c_out] · go [c_out, os]; scatter via col2im.
-            let mut gcols = scratch::take(k * ospatial);
-            gemm_packed(&pwt, go, Trans::No, &mut gcols, ospatial, Epilogue::Store);
-            col2im_into(&gcols, &g, &mut acc.gx);
-            scratch::release(gcols);
-            scratch::release(cols);
-            (i, acc)
-        })
-        .collect();
-
-    let mut gx_all = vec![0.0f32; n * sample_in];
     let mut gw = vec![0.0f32; c_out * k];
     let mut gb = vec![0.0f32; c_out];
-    for (i, acc) in results {
-        gx_all[i * sample_in..(i + 1) * sample_in].copy_from_slice(&acc.gx);
-        for (d, s) in gw.iter_mut().zip(acc.gw.iter()) {
-            *d += s;
+    for a in acc.chunks_exact(per_sample) {
+        let (sw, sb) = a.split_at(b.gw.len);
+        for (co, row) in gw.chunks_exact_mut(k).enumerate() {
+            for (p, d) in row.iter_mut().enumerate() {
+                *d += sw[b.gw.at(co, g.lane(p))];
+            }
         }
-        for (d, s) in gb.iter_mut().zip(acc.gb.iter()) {
+        for (d, s) in gb.iter_mut().zip(sb) {
             *d += s;
         }
     }
+    scratch::release(acc);
 
     Conv2dGrads {
-        input: Tensor::from_vec([n, c_in, h, w], gx_all).expect("grad input size"),
+        input: gx.map(|gx| Tensor::from_vec([n, c_in, h, w], gx).expect("grad input size")),
         weight: Tensor::from_vec([c_out, c_in, kh, kw], gw).expect("grad weight size"),
         bias: Tensor::from_vec([c_out], gb).expect("grad bias size"),
     }
 }
 
+/// Convolution backward pass from the gradient w.r.t. the convolution's
+/// output: gradients w.r.t. input, weight and bias.
+pub fn conv2d_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Conv2dGrads {
+    let (n, _, h, w) = input.shape().nchw();
+    let (c_out, _, kh, kw) = weight.shape().nchw();
+    assert_eq!(
+        grad_out.dims(),
+        &[
+            n,
+            c_out,
+            out_dim(h, kh, stride, pad),
+            out_dim(w, kw, stride, pad)
+        ],
+        "conv2d_backward: grad_out shape mismatch"
+    );
+    backward(
+        input,
+        weight,
+        (stride, pad),
+        OutGrad::Dense(grad_out.data()),
+        true,
+    )
+}
+
+/// Backward pass of the C–P unit, [`conv2d_relu_pool_tracked`]: from the
+/// gradient `grad_out` w.r.t. its pooled output, given the forward's input,
+/// pooled output and argmax, the gradients w.r.t. weight, bias and — when
+/// `input_grad` — input (`None` otherwise, and never computed).
+///
+/// Bit for bit equal to `max_pool2d_backward`, then the ReLU mask
+/// `activation > 0`, then [`conv2d_backward`], but each sample's
+/// full-resolution gradient lives only in a per-thread scratch buffer.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_relu_pool_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    pooled: &Tensor,
+    saved: &MaxIndices,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    input_grad: bool,
+) -> Conv2dGrads {
+    let (n, _, h, w) = input.shape().nchw();
+    let (c_out, _, kh, kw) = weight.shape().nchw();
+    let (oh, ow) = (out_dim(h, kh, stride, pad), out_dim(w, kw, stride, pad));
+    assert_eq!(
+        saved.input_dims,
+        [n, c_out, oh, ow],
+        "conv2d_relu_pool_backward: argmax is not this convolution's"
+    );
+    assert_eq!(
+        pooled.dims(),
+        &saved.output_dims,
+        "conv2d_relu_pool_backward: pooled shape mismatch"
+    );
+    assert_eq!(
+        grad_out.dims(),
+        &saved.output_dims,
+        "conv2d_relu_pool_backward: grad shape mismatch"
+    );
+    let src = OutGrad::Pooled {
+        go: grad_out.data(),
+        y: pooled.data(),
+        winners: &saved.indices,
+    };
+    backward(input, weight, (stride, pad), src, input_grad)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::gemm_ep;
     use crate::grad_check::numeric_grad;
+    use crate::pool::{max_pool2d, max_pool2d_backward};
     use crate::rng::SeededRng;
+
+    /// Unpacks one sample `[C, H, W]` into im2col columns `[C·KH·KW,
+    /// OH·OW]` (row-major, column index = oy·OW + ox); `cols` must be
+    /// zeroed, padding positions are skipped.
+    fn im2col_into(x: &[f32], g: &Geom, cols: &mut [f32]) {
+        let ospatial = g.oh * g.ow;
+        let mut rows = cols.chunks_exact_mut(ospatial);
+        for ci in 0..g.c {
+            for ki in 0..g.kh {
+                for kj in 0..g.kw {
+                    let dst = rows.next().expect("one im2col row per tap");
+                    for oy in 0..g.oh {
+                        let Some(iy) = g.in_row(oy, ki) else {
+                            continue;
+                        };
+                        let src_row = &x[(ci * g.h + iy) * g.w..(ci * g.h + iy + 1) * g.w];
+                        for ox in g.in_cols(kj) {
+                            dst[oy * g.ow + ox] = src_row[ox * g.stride + kj - g.pad];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The geometry of `conv2d(x, w, .., stride, pad)`.
+    fn geom(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Geom {
+        let (_, c, h, wd) = x.shape().nchw();
+        let (_, _, kh, kw) = w.shape().nchw();
+        Geom {
+            c,
+            h,
+            w: wd,
+            kh,
+            kw,
+            stride,
+            pad,
+            oh: out_dim(h, kh, stride, pad),
+            ow: out_dim(wd, kw, stride, pad),
+        }
+    }
 
     #[test]
     fn out_dim_formula() {
@@ -690,13 +1156,13 @@ mod tests {
         // Loss = sum(conv(x)); then dL/dy = 1 everywhere.
         let y = conv2d(&x, &w, &b, 1, 1);
         let go = Tensor::ones(y.shape().clone());
-        let grads = conv2d_backward(&x, &w, &go, 1, 1);
+        let gx = conv2d_backward(&x, &w, &go, 1, 1).input.unwrap();
 
         let num = numeric_grad(&x, 1e-2, |xp| conv2d(xp, &w, &b, 1, 1).sum());
         assert!(
-            grads.input.max_abs_diff(&num) < 0.05,
+            gx.max_abs_diff(&num) < 0.05,
             "analytic vs numeric input grad diff {}",
-            grads.input.max_abs_diff(&num)
+            gx.max_abs_diff(&num)
         );
     }
 
@@ -724,32 +1190,19 @@ mod tests {
         let b = Tensor::zeros([2]);
         let y = conv2d(&x, &w, &b, 2, 0);
         let go = Tensor::ones(y.shape().clone());
-        let grads = conv2d_backward(&x, &w, &go, 2, 0);
+        let gx = conv2d_backward(&x, &w, &go, 2, 0).input.unwrap();
         let num = numeric_grad(&x, 1e-2, |xp| conv2d(xp, &w, &b, 2, 0).sum());
-        assert!(grads.input.max_abs_diff(&num) < 0.05);
+        assert!(gx.max_abs_diff(&num) < 0.05);
     }
 
     /// The fused forward's arithmetic, spelled out: [`im2col_into`], then
     /// one `mul_add` chain per output element over `p` ascending from
     /// `+0.0`, plus the bias (the pre-activation).
     fn conv_oracle(x: &Tensor, w: &Tensor, b: &Tensor, stride: usize, pad: usize) -> Vec<f32> {
-        let (_, c, h, wd) = x.shape().nchw();
-        let (_, _, kh, kw) = w.shape().nchw();
-        let (oh, ow) = (out_dim(h, kh, stride, pad), out_dim(wd, kw, stride, pad));
-        let g = Geom {
-            c,
-            h,
-            w: wd,
-            kh,
-            kw,
-            stride,
-            pad,
-            oh,
-            ow,
-        };
-        let (k, os) = (c * kh * kw, oh * ow);
+        let g = geom(x, w, stride, pad);
+        let (k, os) = (g.c * g.kh * g.kw, g.oh * g.ow);
         let mut out = Vec::new();
-        for xs in x.data().chunks(c * h * wd) {
+        for xs in x.data().chunks(g.c * g.h * g.w) {
             let mut cols = vec![0.0f32; k * os];
             im2col_into(xs, &g, &mut cols);
             for (wrow, &bi) in w.data().chunks(k).zip(b.data()) {
@@ -885,5 +1338,171 @@ mod tests {
         // conv3's 25×25 output pools to 12×12, dropping the last row and
         // column; c_out = 40 makes batch 1 split rows between 4 threads.
         assert_matches_oracle(16, (25, 25), 40, 3, 1, 1);
+    }
+
+    /// The backward route the fused kernel replaced, spelled out per sample
+    /// from the gradient `gy` w.r.t. the convolution output: im2col, then
+    /// `gw += gy·colsᵀ` and `gcols = Wᵀ·gy` through `gemm_ep`, bias row
+    /// sums, and an element-at-a-time col2im; weight and bias gradients
+    /// summed over samples in sample order. Returns `(gx, gw, gb)`.
+    fn backward_oracle(
+        x: &Tensor,
+        w: &Tensor,
+        gy: &[f32],
+        stride: usize,
+        pad: usize,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let g = geom(x, w, stride, pad);
+        let (c_out, k, os) = (w.dims()[0], g.c * g.kh * g.kw, g.oh * g.ow);
+        let sample_in = g.c * g.h * g.w;
+        let (mut gx, mut gw, mut gb) = (Vec::new(), vec![0.0f32; c_out * k], vec![0.0; c_out]);
+        for (xs, go) in x.data().chunks(sample_in).zip(gy.chunks(c_out * os)) {
+            let mut cols = vec![0.0f32; k * os];
+            im2col_into(xs, &g, &mut cols);
+            let mut sgw = vec![0.0f32; c_out * k];
+            let ep = Epilogue::Accumulate;
+            gemm_ep(go, Trans::No, &cols, Trans::Yes, &mut sgw, c_out, os, k, ep);
+            let mut gcols = vec![0.0f32; k * os];
+            let ep = Epilogue::Store;
+            gemm_ep(
+                w.data(),
+                Trans::Yes,
+                go,
+                Trans::No,
+                &mut gcols,
+                k,
+                c_out,
+                os,
+                ep,
+            );
+            let mut sgx = vec![0.0f32; sample_in];
+            let mut rows = gcols.chunks_exact(os);
+            for ci in 0..g.c {
+                for ki in 0..g.kh {
+                    for kj in 0..g.kw {
+                        let src = rows.next().unwrap();
+                        for oy in 0..g.oh {
+                            let Some(iy) = g.in_row(oy, ki) else {
+                                continue;
+                            };
+                            for ox in g.in_cols(kj) {
+                                let ix = ox * g.stride + kj - g.pad;
+                                sgx[(ci * g.h + iy) * g.w + ix] += src[oy * g.ow + ox];
+                            }
+                        }
+                    }
+                }
+            }
+            gx.extend(sgx);
+            for (d, s) in gw.iter_mut().zip(&sgw) {
+                *d += s;
+            }
+            for (d, row) in gb.iter_mut().zip(go.chunks(os)) {
+                *d += row.iter().sum::<f32>();
+            }
+        }
+        (gx, gw, gb)
+    }
+
+    /// Checks [`conv2d_backward`] against [`backward_oracle`], and
+    /// [`conv2d_relu_pool_backward`] (both variants) against it fed by the
+    /// unfused route's gradient — `max_pool2d_backward` over the full
+    /// activation, then the ReLU mask — bit for bit at batch 1 and 3, on
+    /// the pool and forced sequential.
+    fn assert_backward_matches_oracle(
+        c_in: usize,
+        hw: (usize, usize),
+        c_out: usize,
+        kernel: usize,
+        stride: usize,
+    ) {
+        let pad = kernel / 2;
+        let mut rng = SeededRng::new((c_in * 1000 + c_out * 10 + kernel) as u64);
+        let w = Tensor::randn([c_out, c_in, kernel, kernel], 0.0, 0.3, &mut rng);
+        // Negative biases leave whole windows non-positive: pooled +0.0,
+        // so their (partly negative) gradients are masked to ±0.
+        let b = Tensor::randn([c_out], -0.2, 0.5, &mut rng);
+        for batch in [1, 3] {
+            let x = Tensor::randn([batch, c_in, hw.0, hw.1], 0.0, 1.0, &mut rng);
+            let y = conv2d(&x, &w, &b, stride, pad);
+            let dense = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
+            let act = conv2d_relu(&x, &w, &b, stride, pad);
+            let (pooled, ix) = max_pool2d(&act, 2, 2);
+            let go = Tensor::randn(pooled.shape().clone(), 0.0, 1.0, &mut rng);
+            let mut masked = max_pool2d_backward(&go, &ix);
+            for (g, &a) in masked.data_mut().iter_mut().zip(act.data()) {
+                *g *= f32::from(a > 0.0);
+            }
+            let want_dense = backward_oracle(&x, &w, dense.data(), stride, pad);
+            let want_pooled = backward_oracle(&x, &w, masked.data(), stride, pad);
+            for sequential in [false, true] {
+                let mode = if sequential { "sequential" } else { "pool" };
+                let what = |f: &str, grad: &str| {
+                    format!("{f} {grad} c_in={c_in} {hw:?} c_out={c_out} k={kernel} s={stride} batch={batch} {mode}")
+                };
+                let check = |f: &str, got: &Conv2dGrads, want: &(Vec<f32>, Vec<f32>, Vec<f32>)| {
+                    if let Some(gx) = &got.input {
+                        assert_eq!(gx.dims(), x.dims());
+                        assert_bits(gx.data(), &want.0, &what(f, "input"));
+                    }
+                    assert_eq!(got.weight.dims(), w.dims());
+                    assert_bits(got.weight.data(), &want.1, &what(f, "weight"));
+                    assert_bits(got.bias.data(), &want.2, &what(f, "bias"));
+                };
+                let got = on(sequential, || conv2d_backward(&x, &w, &dense, stride, pad));
+                assert!(got.input.is_some());
+                check("conv2d_backward", &got, &want_dense);
+                for input_grad in [true, false] {
+                    let got = on(sequential, || {
+                        conv2d_relu_pool_backward(
+                            &x, &w, &pooled, &ix, &go, stride, pad, input_grad,
+                        )
+                    });
+                    assert_eq!(got.input.is_some(), input_grad);
+                    check("conv2d_relu_pool_backward", &got, &want_pooled);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_backward_matches_unfused_route_oracle_bitwise() {
+        // More threads than the batch.
+        rayon::ensure_threads(4);
+        // The nas-trial C–P blocks (C16-C32-C48 on 64×64 patches): conv1's
+        // k = 36 and 4096 positions (16 KC slices), conv2's k = 144, conv3's
+        // k = 288 with 256 positions (one slice).
+        assert_backward_matches_oracle(4, (64, 64), 16, 3, 1);
+        assert_backward_matches_oracle(16, (32, 32), 32, 3, 1);
+        assert_backward_matches_oracle(32, (16, 16), 48, 3, 1);
+        // A 25×25 output pools to 12×12, dropping its last row and column;
+        // 625 positions leave a ragged third slice, and c_out = 20 ragged
+        // panels on either side of the tile.
+        assert_backward_matches_oracle(8, (25, 25), 20, 3, 1);
+        // 1×1 and 5×5 kernels (k = 5 and 125, ragged panels), odd and
+        // non-square sizes; 7-wide outputs split slices mid-row.
+        assert_backward_matches_oracle(5, (11, 7), 3, 1, 1);
+        assert_backward_matches_oracle(5, (9, 13), 7, 5, 1);
+        // Stride 2 packs strided runs.
+        assert_backward_matches_oracle(3, (12, 10), 6, 3, 2);
+    }
+
+    #[test]
+    fn weight_grad_tile_picks_the_cheaper_orientation() {
+        // Either orientation gives the same bits; the accumulator indexing
+        // must follow whichever runs, and the padded tile area decides.
+        for (c_out, k) in [(16, 36), (32, 144), (48, 288), (3, 5), (64, 576)] {
+            let t = GwTile::new(c_out, k);
+            assert_eq!((t.m, t.n), if t.cols_lhs { (k, c_out) } else { (c_out, k) });
+            assert!(t.ld >= t.n && t.ld.is_multiple_of(t.tile.1));
+            assert_eq!(t.len % t.ld, 0);
+            assert!(t.len / t.ld >= t.m && (t.len / t.ld).is_multiple_of(t.tile.0));
+            let mut seen = vec![false; t.len];
+            for co in 0..c_out {
+                for p in 0..k {
+                    assert!(!std::mem::replace(&mut seen[t.at(co, p)], true));
+                }
+            }
+        }
     }
 }

@@ -5,15 +5,16 @@
 //! from its shape (see [`gemm_ep`]):
 //!
 //! * **Packed** — every product whose `B` fits in cache (the convolution
-//!   backward's per-sample products among them). `A` is packed into
-//!   row-panels of `MR` rows and `B` into column-panels of `NR` columns
-//!   (k-major inside each panel), once per call, into thread-local
+//!   backward's per-sample input-gradient products among them). `A` is
+//!   packed into row-panels of `MR` rows and `B` into column-panels of `NR`
+//!   columns (k-major inside each panel), once per call, into thread-local
 //!   [`crate::scratch`] buffers; each register tile then runs over the
 //!   whole `k` extent, B panels in the outer loop so one stays cache-hot
 //!   while the A panels sweep it. Parallel tasks own disjoint `MC`-row
 //!   blocks of `C`. The convolution forward pass drives the same tile loop
 //!   through `gemm_slab`, over L2-sized slabs of `B` that `conv` packs
-//!   straight from the input image.
+//!   straight from the input image, and its weight gradient through
+//!   `gemm_slice`, over `k`-slices of both operands that `conv` packs.
 //! * **Blocked** — products whose `B` is DRAM-resident (`k·n ≥ BIG_RHS`,
 //!   e.g. the 7680×4096 fc1 weights) and that are not thin. `C` is cut
 //!   into a fixed 2-D grid of blocks of `MC_BLOCKED` rows × `NC` columns,
@@ -44,7 +45,9 @@
 //! bias (+ optional ReLU), broadcast over rows or columns — so callers like
 //! the fully-connected forward pass make no second sweep over `C`.
 //! Transposed variants ([`gemm_at`], [`gemm_bt`]) pack straight from the
-//! transposed layout, so backward passes never materialize `Aᵀ`/`Bᵀ`.
+//! transposed layout, so backward passes never materialize `Aᵀ`/`Bᵀ`; a
+//! transposed `B` is packed through register-sized block transposes
+//! (`interleave`), not one strided store per element.
 //!
 //! Every output element is a single fused-multiply-add chain over
 //! `p = 0..k` in ascending order — carried across `KC` slices in f32 by the
@@ -221,7 +224,7 @@ impl Epilogue<'_> {
 /// Micro-panel height for an `m`-row problem: full 6 when there is enough
 /// work to fill the tile, narrowed so a skinny GEMM does not burn the FLOPs
 /// on padding.
-fn select_mr(m: usize) -> usize {
+pub(crate) fn select_mr(m: usize) -> usize {
     if m >= MR_MAX {
         MR_MAX
     } else if m >= 4 {
@@ -323,14 +326,79 @@ fn pack_rhs(
             }
         }
         Trans::Yes => {
-            // `b` stores Bᵀ: `op(B)[p][j] = b[j*k + p]`, contiguous in `p`.
-            for (jj, j) in js.enumerate() {
-                let src = &b[j * k + ks.start..j * k + ks.end];
-                let panel = &mut out[jj / nr * nr * kc + jj % nr..];
-                for (p, &v) in src.iter().enumerate() {
-                    panel[p * nr] = v;
+            // `b` stores Bᵀ: `op(B)[p][j] = b[j*k + p]`, so each panel's
+            // columns are `nr` rows of `b`, contiguous in `p`, interleaved.
+            let mut starts = [0usize; NR_MAX];
+            for (pj, panel) in out.chunks_mut(nr * kc).enumerate() {
+                let j0 = js.start + pj * nr;
+                if j0 >= js.end {
+                    break;
+                }
+                let width = nr.min(js.end - j0);
+                for (jj, s) in starts[..width].iter_mut().enumerate() {
+                    *s = (j0 + jj) * k + ks.start;
+                }
+                interleave(b, &starts[..width], kc, nr, panel);
+            }
+        }
+    }
+}
+
+/// `k`-steps per block [`interleave`] transposes through registers.
+const TB: usize = 8;
+
+/// Interleaves `starts.len()` source rows, `len` elements each, into `out`
+/// `p`-major: element `p` of row `r`, `src[starts[r] + p]`, lands at
+/// `out[p·ld + r]` — the k-major panel layout of both GEMM operands, with
+/// `ld` lanes per `k`-step. Lanes `starts.len()..ld` are not written.
+///
+/// Transposes blocks of up to 8 rows × `TB` steps at a time (`TB`
+/// contiguous loads per row, contiguous stores per step) instead of one
+/// strided store per element; only the copies are reordered, never a value.
+pub(crate) fn interleave(src: &[f32], starts: &[usize], len: usize, ld: usize, out: &mut [f32]) {
+    debug_assert!(starts.len() <= ld);
+    for (rb, rstarts) in starts.chunks(8).enumerate() {
+        let out = &mut out[rb * 8..];
+        match rstarts.len() {
+            8 => interleave_rows::<8>(src, rstarts, len, ld, out),
+            6 => interleave_rows::<6>(src, rstarts, len, ld, out),
+            4 => interleave_rows::<4>(src, rstarts, len, ld, out),
+            _ => {
+                for (r, &s) in rstarts.iter().enumerate() {
+                    for (p, &v) in src[s..s + len].iter().enumerate() {
+                        out[p * ld + r] = v;
+                    }
                 }
             }
+        }
+    }
+}
+
+/// [`interleave`] for a group of exactly `R` rows.
+#[inline(always)]
+fn interleave_rows<const R: usize>(
+    src: &[f32],
+    starts: &[usize],
+    len: usize,
+    ld: usize,
+    out: &mut [f32],
+) {
+    let starts: &[usize; R] = starts.try_into().expect("R row starts");
+    let full = len / TB * TB;
+    for p0 in (0..full).step_by(TB) {
+        let rows: [&[f32; TB]; R] =
+            std::array::from_fn(|r| src[starts[r] + p0..][..TB].try_into().expect("TB steps"));
+        for p in 0..TB {
+            let at = (p0 + p) * ld;
+            let dst: &mut [f32; R] = (&mut out[at..at + R]).try_into().expect("R lanes");
+            for (d, row) in dst.iter_mut().zip(&rows) {
+                *d = row[p];
+            }
+        }
+    }
+    for p in full..len {
+        for (r, &s) in starts.iter().enumerate() {
+            out[p * ld + r] = src[s + p];
         }
     }
 }
@@ -512,7 +580,8 @@ pub fn gemm_packed(pa: &PackedLhs, b: &[f32], tb: Trans, c: &mut [f32], n: usize
         return;
     }
     let nr = select_nr(n);
-    let mut bpack = scratch::take(n.div_ceil(nr) * nr * k);
+    // Every lane the tiles write back is packed, so no memset is needed.
+    let mut bpack = scratch::take_overwrite(n.div_ceil(nr) * nr * k);
     pack_rhs(b, tb, (k, n), 0..k, 0..n, nr, &mut bpack);
     let tile = (pa.mr, nr);
     let apack = &pa.buf;
@@ -548,6 +617,33 @@ pub(crate) fn gemm_slab(
     dispatch_tile!(
         (pa.mr, nr),
         block(&pa.buf, slab, c_rows, rows, cols, k, ldc, ep)
+    );
+}
+
+/// Continues `C (m×n) = A·B` over one `kc`-step slice of the shared
+/// dimension: `apack` holds the slice of `A` in `tile.0`-row panels and
+/// `bpack` that of `B` in `tile.1`-column panels, both k-major as
+/// [`interleave`] lays them out. `c` holds `C` at row stride `ldc`, with
+/// room for `m` and `n` rounded up to whole panels; every tile is written
+/// back whole. Each element continues its `mul_add` chain from `c` — or
+/// starts it from `+0.0` when `fresh` — so a product cut into ascending
+/// slices is bit-identical to one pass over the whole `k` (the blocked
+/// path's invariant). The convolution weight gradient packs both slices
+/// straight from its per-sample operands.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_slice(
+    tile: (usize, usize),
+    apack: &[f32],
+    bpack: &[f32],
+    kc: usize,
+    (m, n): (usize, usize),
+    c: &mut [f32],
+    ldc: usize,
+    fresh: bool,
+) {
+    dispatch_tile!(
+        tile,
+        slab_tiles(apack, bpack, kc, 0..kc, 0..m, n, ldc, c, fresh)
     );
 }
 
@@ -651,7 +747,8 @@ impl Grid {
 
 /// Sweeps one packed `KC×NC` slab of `B` through every register tile of a
 /// blocked task's `width` columns, continuing each tile's chains from the
-/// staging chunk `acc` (rows at stride `ld`) and storing them back.
+/// staging chunk `acc` (rows at stride `ld`) — or starting them from `+0.0`
+/// when `fresh` — and storing whole tiles back.
 #[allow(clippy::too_many_arguments)]
 fn slab_tiles<const MR: usize, const NR: usize>(
     apack: &[f32],
@@ -662,6 +759,7 @@ fn slab_tiles<const MR: usize, const NR: usize>(
     width: usize,
     ld: usize,
     acc: &mut [f32],
+    fresh: bool,
 ) {
     let kc = ks.len();
     for jp in (0..width).step_by(NR) {
@@ -671,8 +769,10 @@ fn slab_tiles<const MR: usize, const NR: usize>(
             let apanel = &apack[ip * k + ks.start * MR..ip * k + ks.end * MR];
             let out = &mut acc[(ip - rows.start) * ld + jp..];
             let mut tile = [[0.0f32; NR]; MR];
-            for (i, t) in tile.iter_mut().enumerate() {
-                t.copy_from_slice(&out[i * ld..i * ld + NR]);
+            if !fresh {
+                for (i, t) in tile.iter_mut().enumerate() {
+                    t.copy_from_slice(&out[i * ld..i * ld + NR]);
+                }
             }
             fma_tile(apanel, bpanel, kc, &mut tile);
             for (i, t) in tile.iter().enumerate() {
@@ -714,7 +814,8 @@ fn gemm_blocked(
                     rows.clone(),
                     cols.len(),
                     grid.nc,
-                    acc
+                    acc,
+                    false
                 )
             );
         }
@@ -879,22 +980,6 @@ pub fn gemm_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         Epilogue::Store,
     );
     c
-}
-
-/// `C += A·Bᵀ` (`b` in `n×k` storage) — the convolution weight-gradient
-/// accumulation `∂y·colsᵀ` without building the `colsᵀ` buffer.
-pub fn gemm_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_ep(
-        a,
-        Trans::No,
-        b,
-        Trans::Yes,
-        c,
-        m,
-        k,
-        n,
-        Epilogue::Accumulate,
-    );
 }
 
 /// Rank-2 [`Tensor`] matrix product.
@@ -1142,11 +1227,12 @@ mod tests {
     }
 
     #[test]
-    fn gemm_bt_acc_accumulates() {
+    fn gemm_bt_accumulate_epilogue_accumulates() {
         let a = vec![1., 0., 0., 1.];
         let b = vec![2., 3., 4., 5.]; // B stored [n=2 × k=2]
         let mut c = vec![1.0; 4];
-        gemm_bt_acc(&a, &b, &mut c, 2, 2, 2);
+        let ep = Epilogue::Accumulate;
+        gemm_ep(&a, Trans::No, &b, Trans::Yes, &mut c, 2, 2, 2, ep);
         // A·Bᵀ = [[2,4],[3,5]] + 1
         assert_eq!(c, vec![3., 5., 4., 6.]);
     }

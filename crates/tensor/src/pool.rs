@@ -10,7 +10,9 @@
 //! kernel (`pool_sample`); the public functions only pick the window
 //! geometry and whether to record the winners for [`max_pool2d_backward`].
 //! [`crate::conv::conv2d_relu_pool`] runs the same kernel on each sample's
-//! activation as soon as its convolution finishes.
+//! activation as soon as its convolution finishes, and its backward
+//! scatters each sample's pooled gradient through the ReLU mask with
+//! `relu_pool2x2_backward_sample`.
 
 use crate::conv::out_dim;
 use crate::tensor::Tensor;
@@ -47,33 +49,9 @@ pub fn adaptive_max_pool2d_values(input: &Tensor, out_size: usize) -> Tensor {
 }
 
 /// Backward pass of [`max_pool2d`] and [`adaptive_max_pool2d`]: routes each
-/// output gradient to the input element that won the max.
+/// output gradient to the input element that won the max (overlapping
+/// adaptive bins may share a winner, which then sums its gradients).
 pub fn max_pool2d_backward(grad_out: &Tensor, saved: &MaxIndices) -> Tensor {
-    route_to_winners(grad_out, saved, |_| 1.0)
-}
-
-/// Backward pass of ReLU followed by a max pool, given the pool's output
-/// `pooled` — what [`crate::conv::conv2d_relu_pool_tracked`] returns, with
-/// no full-resolution activation to mask by.
-///
-/// Each winner's ReLU output is the pooled value itself, so the ReLU mask
-/// there is `pooled > 0`; every other input position receives `+0.0`,
-/// which the mask leaves unchanged. Bit for bit this is
-/// [`max_pool2d_backward`] followed by multiplying the gradient by the
-/// 0/1 mask `activation > 0`.
-pub fn relu_max_pool2d_backward(grad_out: &Tensor, pooled: &Tensor, saved: &MaxIndices) -> Tensor {
-    assert_eq!(
-        pooled.dims(),
-        &saved.output_dims,
-        "relu_max_pool2d_backward: pooled shape mismatch"
-    );
-    let y = pooled.data();
-    route_to_winners(grad_out, saved, |i| f32::from(y[i] > 0.0))
-}
-
-/// Scatters `grad_out` onto a zeroed input-shaped gradient: output `i`
-/// updates its winner `src` to `(gx[src] + g) · mask(i)`.
-fn route_to_winners(grad_out: &Tensor, saved: &MaxIndices, mask: impl Fn(usize) -> f32) -> Tensor {
     assert_eq!(
         grad_out.dims(),
         &saved.output_dims,
@@ -81,10 +59,46 @@ fn route_to_winners(grad_out: &Tensor, saved: &MaxIndices, mask: impl Fn(usize) 
     );
     let [n, c, h, w] = saved.input_dims;
     let mut gx = vec![0.0f32; n * c * h * w];
-    for (i, (&src, &g)) in saved.indices.iter().zip(grad_out.data()).enumerate() {
-        gx[src] = (gx[src] + g) * mask(i);
+    for (&src, &g) in saved.indices.iter().zip(grad_out.data()) {
+        gx[src] += g;
     }
     Tensor::from_vec([n, c, h, w], gx).expect("pool grad size")
+}
+
+/// One sample's backward through the ReLU and 2×2/2 max pool that
+/// [`crate::conv::conv2d_relu_pool_tracked`] fuses. `go`, `y` and
+/// `winners` are the sample's pooled gradient, pooled output and argmax
+/// (`[C, H/2, W/2]` each; `winners` as [`MaxIndices`] stores them, offset
+/// by the sample's `base`); `gx` receives the `[C, H, W]` gradient of the
+/// pre-activation.
+///
+/// Each winner's ReLU output is its pooled value, so the ReLU mask there
+/// is `y > 0`; every other position receives `+0.0`, which the mask leaves
+/// unchanged. Each winner gets `(0 + g)·[y > 0]`: bit for bit
+/// [`max_pool2d_backward`] followed by multiplying by the 0/1 mask
+/// `activation > 0`. Writes every element of `gx` (row pairs are cleared
+/// as they are scattered into), so `gx` may hold stale data on entry.
+pub(crate) fn relu_pool2x2_backward_sample(
+    (go, y, winners): (&[f32], &[f32], &[usize]),
+    base: usize,
+    (c, h, w): (usize, usize, usize),
+    gx: &mut [f32],
+) {
+    let (ph, pw) = (h / 2, w / 2);
+    for (ci, plane) in gx.chunks_exact_mut(h * w).take(c).enumerate() {
+        // A last odd row is in no window.
+        plane[2 * ph * w..].fill(0.0);
+        for (py, rows) in plane.chunks_exact_mut(2 * w).take(ph).enumerate() {
+            rows.fill(0.0);
+            let o = (ci * ph + py) * pw..(ci * ph + py + 1) * pw;
+            // A winner's offset within its window's two rows (a winner
+            // outside them would index out of bounds).
+            let top = base + (ci * h + 2 * py) * w;
+            for ((&g, &v), &src) in go[o.clone()].iter().zip(&y[o.clone()]).zip(&winners[o]) {
+                rows[src - top] = (0.0 + g) * f32::from(v > 0.0);
+            }
+        }
+    }
 }
 
 /// Window geometry along both spatial axes.
@@ -332,26 +346,32 @@ mod tests {
     fn relu_pool_backward_is_pool_backward_then_relu_mask() {
         // A ReLU output with windows that are all +0.0 (pooled value 0, so
         // the mask zeroes the gradient, leaving -0.0 where it is negative)
-        // and odd sizes; gradients of both signs.
+        // and odd sizes; gradients of both signs. The per-sample kernel
+        // writes into stale (NaN) buffers and must overwrite every element.
         let mut rng = SeededRng::new(15);
-        let pre = Tensor::randn([2, 3, 7, 9], -0.3, 1.0, &mut rng);
+        let (n, c, h, w) = (2, 3, 7, 9);
+        let pre = Tensor::randn([n, c, h, w], -0.3, 1.0, &mut rng);
         let act = pre.map(|v| if v > 0.0 { v } else { 0.0 });
         let (y, ix) = max_pool2d(&act, 2, 2);
         assert!(y.data().contains(&0.0), "no all-non-positive window");
-        let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
+        // Some gradients are -0.0, which `0 + g` turns into +0.0.
+        let mut go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
+        go.data_mut().iter_mut().step_by(5).for_each(|g| *g = -0.0);
         let mut want = max_pool2d_backward(&go, &ix);
         for (g, &a) in want.data_mut().iter_mut().zip(act.data()) {
             *g *= f32::from(a > 0.0);
         }
-        let got = relu_max_pool2d_backward(&go, &y, &ix);
-        assert_eq!(got.dims(), want.dims());
-        for (e, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        let (sample_in, sample_out) = (c * h * w, y.numel() / n);
+        let mut got = vec![f32::NAN; n * sample_in];
+        for (s, gx) in got.chunks_mut(sample_in).enumerate() {
+            let o = s * sample_out..(s + 1) * sample_out;
+            let pooled = (&go.data()[o.clone()], &y.data()[o.clone()], &ix.indices[o]);
+            relu_pool2x2_backward_sample(pooled, s * sample_in, (c, h, w), gx);
+        }
+        for (e, (g, w)) in got.iter().zip(want.data()).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "element {e}: {g} vs {w}");
         }
-        assert!(got
-            .data()
-            .iter()
-            .any(|g| g.to_bits() == (-0.0f32).to_bits()));
+        assert!(got.iter().any(|g| g.to_bits() == (-0.0f32).to_bits()));
     }
 
     #[test]

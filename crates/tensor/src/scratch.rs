@@ -19,8 +19,9 @@
 //!   also break the workspace's bit-determinism guarantee).
 //! * [`take_overwrite`] skips that memset, for kernels that write every
 //!   element before reading any: the convolution forward pass's padded
-//!   input copy and packed slabs, which would otherwise be cleared only to
-//!   be overwritten.
+//!   input copy and packed slabs, and the backward pass's padded copy,
+//!   scattered gradient, packed slices, gradient columns and per-sample
+//!   accumulators, which would otherwise be cleared only to be overwritten.
 //! * Checkout prefers the smallest pooled buffer whose capacity fits, so a
 //!   mixed workload (tiny bias panels next to megabyte slabs) does not burn
 //!   its big buffers on small requests.

@@ -11,8 +11,9 @@
 
 use dcd_tensor::gemm::gemm_bias;
 use dcd_tensor::{
-    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_tracked, gemm,
-    gemm_at, gemm_bt, gemm_ep, max_pool2d, max_pool2d_backward, Epilogue, SeededRng, Tensor, Trans,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
+    conv2d_relu_pool_tracked, gemm, gemm_at, gemm_bt, gemm_ep, max_pool2d, max_pool2d_backward,
+    Conv2dGrads, Epilogue, SeededRng, Tensor, Trans,
 };
 
 fn pin_threads() {
@@ -215,15 +216,48 @@ fn conv2d_backward_parallel_matches_sequential_bitwise() {
     let go = Tensor::randn([6, 8, 16, 16], 0.0, 1.0, &mut rng);
     let par = conv2d_backward(&x, &w, &go, 1, 1);
     let seq = rayon::force_sequential(|| conv2d_backward(&x, &w, &go, 1, 1));
-    assert_bits_eq(par.input.data(), seq.input.data(), "conv2d_backward input");
-    // Weight/bias gradients accumulate across samples — the order-sensitive
-    // part that forced the in-order piece combination.
+    assert_grads_eq(&par, &seq, "conv2d_backward");
+}
+
+/// Weight and bias gradients accumulate across samples — the
+/// order-sensitive part, summed in sample order after the join.
+fn assert_grads_eq(par: &Conv2dGrads, seq: &Conv2dGrads, what: &str) {
+    assert_eq!(par.input.is_some(), seq.input.is_some(), "{what}: input");
+    if let (Some(p), Some(s)) = (&par.input, &seq.input) {
+        assert_bits_eq(p.data(), s.data(), &format!("{what} input"));
+    }
     assert_bits_eq(
         par.weight.data(),
         seq.weight.data(),
-        "conv2d_backward weight",
+        &format!("{what} weight"),
     );
-    assert_bits_eq(par.bias.data(), seq.bias.data(), "conv2d_backward bias");
+    assert_bits_eq(par.bias.data(), seq.bias.data(), &format!("{what} bias"));
+}
+
+#[test]
+fn conv2d_relu_pool_backward_parallel_matches_sequential_bitwise() {
+    pin_threads();
+    // The fused C–P backward at a training batch of 20 and a ragged 7,
+    // with and without the input gradient, on conv2's nas-trial shape
+    // (16 → 32 at 32×32; its 1024 positions span four k-slices) and on an
+    // odd 25×25 output that pools to 12×12.
+    let mut rng = SeededRng::new(39);
+    for (c_in, hw, c_out) in [(16, 32, 32), (8, 25, 12)] {
+        let w = Tensor::randn([c_out, c_in, 3, 3], 0.0, 0.2, &mut rng);
+        let b = Tensor::randn([c_out], -0.1, 0.2, &mut rng);
+        for batch in [20, 7] {
+            let x = Tensor::randn([batch, c_in, hw, hw], 0.0, 1.0, &mut rng);
+            let (y, ix) = conv2d_relu_pool_tracked(&x, &w, &b, 1, 1);
+            let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
+            for input_grad in [true, false] {
+                let run = || conv2d_relu_pool_backward(&x, &w, &y, &ix, &go, 1, 1, input_grad);
+                let what = format!(
+                    "conv2d_relu_pool_backward {hw}x{hw} batch {batch} input_grad {input_grad}"
+                );
+                assert_grads_eq(&run(), &rayon::force_sequential(run), &what);
+            }
+        }
+    }
 }
 
 #[test]

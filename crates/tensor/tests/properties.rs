@@ -120,6 +120,32 @@ fn transposed_variants_match_chain_oracle_bitwise() {
 }
 
 #[test]
+fn transposed_rhs_packing_matches_chain_oracle_bitwise() {
+    // `Bᵀ` is packed by transposing blocks of up to 8 columns × 8 k-steps:
+    // column counts that leave every group size (1–8) in a ragged last
+    // panel, and `k` with and without a ragged block of k-steps, on the
+    // packed path (m = 20, the FC input gradient's batch) ...
+    let mut rng = SeededRng::new(0x7B);
+    for k in [1, 7, 8, 9, 37] {
+        for n in [1, 2, 5, 7, 14, 33, 45, 63, 1441] {
+            let (m, a) = (20, randn(20 * k, &mut rng));
+            let bt = randn(n * k, &mut rng);
+            let want = gemm_chain(&a, &transpose(&bt, n, k), m, k, n);
+            let what = format!("gemm_bt packed k={k} n={n}");
+            assert_bits(&gemm_bt(&a, &bt, m, k, n), &want, &what);
+        }
+    }
+    // ... and on the blocked path, whose `KC` slices start mid-row of `b`
+    // (517 = 2·256 + 5 k-steps) and whose last column block and panel are
+    // ragged (4099 = 8·512 + 3).
+    let (m, k, n) = (20, K_BLOCKED, N_BLOCKED - 1);
+    let a = randn(m * k, &mut rng);
+    let bt = randn(n * k, &mut rng);
+    let want = gemm_chain(&a, &transpose(&bt, n, k), m, k, n);
+    assert_bits(&gemm_bt(&a, &bt, m, k, n), &want, "gemm_bt blocked");
+}
+
+#[test]
 fn narrow_tiles_match_chain_oracle_bitwise() {
     // Every row-panel height (m = 1, 2, 4, 6 and ragged 3, 5, 7, 13) against
     // every column-width edge of the 32-wide tile. `gemm_bt` always tiles;
@@ -409,7 +435,7 @@ proptest! {
         let y = conv2d(&x, &weight, &bias, 1, 1);
         let go = Tensor::ones(y.shape().clone());
         let g = conv2d_backward(&x, &weight, &go, 1, 1);
-        prop_assert_eq!(g.input.shape(), x.shape());
+        prop_assert_eq!(g.input.as_ref().map(|gx| gx.shape()), Some(x.shape()));
         prop_assert_eq!(g.weight.shape(), weight.shape());
         prop_assert_eq!(g.bias.dims(), &[cout]);
     }

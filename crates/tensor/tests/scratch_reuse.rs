@@ -11,8 +11,8 @@
 //! make the counter nondeterministic here.
 
 use dcd_tensor::{
-    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, gemm_ep, scratch, Epilogue, SeededRng,
-    Tensor, Trans,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
+    conv2d_relu_pool_tracked, gemm_ep, scratch, Epilogue, SeededRng, Tensor, Trans,
 };
 use std::sync::Mutex;
 
@@ -145,6 +145,53 @@ fn conv_relu_pool_scan_batches_do_not_grow_scratch() {
             scratch::grow_events(),
             before,
             "conv2d_relu_pool at batch 32, 9 and 1 after a batch-32 warm-up grew the scratch pool"
+        );
+    });
+}
+
+#[test]
+fn fused_backward_training_batches_do_not_grow_scratch() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    rayon::force_sequential(|| {
+        // A training epoch runs full batches of 20 and one ragged last
+        // batch. The per-sample scratch (padded image, scattered gradient,
+        // packed slices, gradient columns) depends only on the layer shape
+        // and the per-call accumulators shrink with the batch, so one
+        // warm-up step at batch 20 covers both, with and without the input
+        // gradient.
+        let mut rng = SeededRng::new(103);
+        let w = Tensor::randn([16, 8, 3, 3], 0.0, 0.2, &mut rng);
+        let b = Tensor::randn([16], 0.0, 0.1, &mut rng);
+        let steps: Vec<_> = [20usize, 7]
+            .iter()
+            .map(|&n| {
+                let x = Tensor::randn([n, 8, 20, 20], 0.0, 1.0, &mut rng);
+                let (y, ix) = conv2d_relu_pool_tracked(&x, &w, &b, 1, 1);
+                let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
+                (x, y, ix, go)
+            })
+            .collect();
+        let step = |(x, y, ix, go): &(_, _, _, _), input_grad| {
+            std::hint::black_box(conv2d_relu_pool_backward(
+                x, &w, y, ix, go, 1, 1, input_grad,
+            ));
+        };
+
+        for input_grad in [true, false] {
+            step(&steps[0], input_grad);
+        }
+        let before = scratch::grow_events();
+        for _ in 0..3 {
+            for s in &steps {
+                for input_grad in [true, false] {
+                    step(s, input_grad);
+                }
+            }
+        }
+        assert_eq!(
+            scratch::grow_events(),
+            before,
+            "fused backward at batch 20 and 7 after a batch-20 warm-up grew the scratch pool"
         );
     });
 }
