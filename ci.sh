@@ -42,6 +42,15 @@ RAYON_NUM_THREADS=1 cargo test -q -p dcd-tensor --test parallel_equivalence
 echo "== kernel equivalence under an odd pool (RAYON_NUM_THREADS=3) =="
 RAYON_NUM_THREADS=3 cargo test -q -p dcd-tensor --test parallel_equivalence
 
+# The shared conv trunk must reproduce the per-tile scan bit for bit
+# whatever the pool size: scene passes, ring convs and tile assembly all
+# split work between threads, and an odd pool splits it unevenly.
+for threads in 1 3; do
+    echo "== shared-trunk scan equivalence (RAYON_NUM_THREADS=$threads) =="
+    RAYON_NUM_THREADS=$threads cargo test -q -p dcd-core --lib -- \
+        shared_trunk_matches_per_tile_scan_bitwise tile_maps_equal_the_per_tile_trunk_bitwise
+done
+
 # The golden training pin must hold whatever the pool size: the conv
 # backward keeps per-sample gradients in per-thread scratch and sums them in
 # sample order after the join, and an odd pool splits the batch unevenly.

@@ -78,24 +78,24 @@ fn fixture() -> (DrainageCrossingDetector, Tensor, ScanConfig) {
 }
 
 fn main() {
-    let (mut detector, bands, scan) = fixture();
+    let (detector, bands, scan) = fixture();
 
     dcd_obs::set_enabled(false);
     let disabled_ms = best_ms(|| {
-        std::hint::black_box(scan_scene(&mut detector, &bands, &scan));
+        std::hint::black_box(scan_scene(&detector, &bands, &scan));
     });
 
     dcd_obs::set_enabled(true);
     // Warm-up registers every pool thread's span buffer; draining between
     // runs keeps the buffers from filling (a full buffer drops, which would
     // make the enabled run artificially cheap).
-    scan_scene(&mut detector, &bands, &scan);
+    scan_scene(&detector, &bands, &scan);
     let spans_per_scan = dcd_obs::drain_spans().len();
     let grow_before = dcd_obs::grow_events();
     let mut enabled_ms = f64::INFINITY;
     for _ in 0..REPS {
         let t = Instant::now();
-        std::hint::black_box(scan_scene(&mut detector, &bands, &scan));
+        std::hint::black_box(scan_scene(&detector, &bands, &scan));
         enabled_ms = enabled_ms.min(t.elapsed().as_secs_f64() * 1e3);
         dcd_obs::drain_spans();
     }
@@ -103,7 +103,7 @@ fn main() {
 
     dcd_obs::set_enabled(false);
     let disabled_again_ms = best_ms(|| {
-        std::hint::black_box(scan_scene(&mut detector, &bands, &scan));
+        std::hint::black_box(scan_scene(&detector, &bands, &scan));
     });
 
     // Span guard microbench: disabled guards are a single atomic load;

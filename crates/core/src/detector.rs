@@ -44,16 +44,21 @@ impl DrainageCrossingDetector {
         &self.model.config
     }
 
+    /// The wrapped model.
+    pub fn model(&self) -> &SppNet {
+        &self.model
+    }
+
     /// Detects the crossing in one `[C, H, W]` patch; `None` below the
     /// confidence threshold.
-    pub fn detect(&mut self, image: &Tensor) -> Option<Detection> {
+    pub fn detect(&self, image: &Tensor) -> Option<Detection> {
         self.detect_batch(std::slice::from_ref(image))
             .pop()
             .flatten()
     }
 
     /// Batch detection over patches of identical shape.
-    pub fn detect_batch(&mut self, images: &[Tensor]) -> Vec<Option<Detection>> {
+    pub fn detect_batch(&self, images: &[Tensor]) -> Vec<Option<Detection>> {
         if images.is_empty() {
             return Vec::new();
         }
@@ -64,9 +69,17 @@ impl DrainageCrossingDetector {
     /// [`DrainageCrossingDetector::detect_batch`] over an already-assembled
     /// `[N, C, H, W]` batch tensor — the scan hot path, which reuses one
     /// batch buffer across tiles instead of stacking per-patch tensors.
-    pub fn detect_tensor(&mut self, x: &Tensor) -> Vec<Option<Detection>> {
+    pub fn detect_tensor(&self, x: &Tensor) -> Vec<Option<Detection>> {
+        self.detect_from_block(0, x)
+    }
+
+    /// [`DrainageCrossingDetector::detect_tensor`] on feature maps that
+    /// enter the model at C–P block `block` (see
+    /// [`SppNet::forward_inference_from`]) — the scene scan's shared trunk
+    /// computes the earlier blocks itself.
+    pub fn detect_from_block(&self, block: usize, x: &Tensor) -> Vec<Option<Detection>> {
         self.model
-            .predict(x)
+            .predict_from(block, x)
             .into_iter()
             .map(|d| {
                 if d.score >= self.threshold {
@@ -171,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_empty() {
-        let mut det = quick_train();
+        let det = quick_train();
         assert!(det.detect_batch(&[]).is_empty());
     }
 }

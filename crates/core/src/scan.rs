@@ -16,11 +16,14 @@ use dcd_ios::{
     ios_schedule, lower_sppnet, sequential_schedule, ExecError, IosOptions, StageCostModel,
 };
 use dcd_nn::metrics::iou;
-use dcd_nn::BBox;
+use dcd_nn::{BBox, Detection};
 use dcd_tensor::Tensor;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use trunk::SharedTrunk;
+
+mod trunk;
 
 /// A detection in scene (raster) coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,10 +61,12 @@ impl SceneDetection {
 pub struct ScanConfig {
     /// Patch side length fed to the detector (must match training).
     pub patch_size: usize,
-    /// Tiling stride. The detector is trained on patches with the crossing
-    /// *at the centre* (§3.2), so it only fires when a tile centre lands
-    /// near a crossing — use a small stride (patch/8) for high recall and
-    /// let NMS collapse the duplicates.
+    /// Tiling stride, positive. The detector is trained on patches with
+    /// the crossing *at the centre* (§3.2), so it only fires when a tile
+    /// centre lands near a crossing — use a small stride (patch/8) for
+    /// high recall and let NMS collapse the duplicates. An even stride
+    /// below the patch size lets overlapping tiles share their first conv
+    /// levels ([`scan_scene`]).
     pub stride: usize,
     /// Inference batch size (use the pipeline's optimal batch).
     pub batch_size: usize,
@@ -165,8 +170,9 @@ pub fn nms(
     keep
 }
 
-/// Validates the scene shape and returns `(h, w)`.
+/// Validates the scene shape and the stride, and returns `(h, w)`.
 fn scene_dims(bands: &Tensor, config: &ScanConfig) -> (usize, usize) {
+    assert!(config.stride > 0, "scan stride must be positive, got 0");
     let dims = bands.dims();
     assert_eq!(dims.len(), 3, "expected [bands, H, W]");
     let (h, w) = (dims[1], dims[2]);
@@ -199,43 +205,41 @@ fn tile_centers(w: usize, h: usize, config: &ScanConfig) -> Vec<(usize, usize)> 
     centers
 }
 
-/// Runs one chunk of tile centres through the detector, appending raster-space
-/// detections to `raw`.
-///
-/// `batch_buf` is the caller's reusable batch buffer: each patch clips and
-/// normalizes directly into its slot (in parallel across tile centres), the
-/// buffer is loaned to a batch tensor for inference, then reclaimed — so a
-/// whole-scene scan allocates its batch storage once, not once per chunk.
+/// Clips the tile centred at `(cx, cy)` into `dst` (`[bands, patch,
+/// patch]`, every element written) and normalizes it as configured: what
+/// the network sees of a tile.
+fn clip_tile(bands: &Tensor, (cx, cy): (usize, usize), config: &ScanConfig, dst: &mut [f32]) {
+    clip_patch_into(bands, cx, cy, config.patch_size, dst);
+    if config.normalize {
+        normalize(dst);
+    }
+}
+
+/// The dataset's reflectance normalization to `[-1, 1]`, pixel by pixel.
+fn normalize(values: &mut [f32]) {
+    for v in values {
+        *v = (*v - 0.5) * 2.0;
+    }
+}
+
+/// Runs one chunk of tiles through the whole network: each patch clips and
+/// normalizes straight into its slot of `batch_buf` (in parallel across
+/// tiles), the buffer is loaned to a batch tensor for inference, then
+/// reclaimed — so a scan allocates its batch storage once, not per chunk.
 fn detect_chunk(
-    detector: &mut DrainageCrossingDetector,
+    detector: &DrainageCrossingDetector,
     bands: &Tensor,
     chunk: &[(usize, usize)],
     config: &ScanConfig,
-    (h, w): (usize, usize),
     batch_buf: &mut Vec<f32>,
-    raw: &mut Vec<SceneDetection>,
-) {
-    if chunk.is_empty() {
-        return;
-    }
-    let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
-    dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
+) -> Vec<Option<Detection>> {
     let nb = bands.dims()[0];
     let sample = nb * config.patch_size * config.patch_size;
     batch_buf.resize(chunk.len() * sample, 0.0);
     batch_buf
         .par_chunks_mut(sample)
         .zip(chunk.par_iter())
-        .for_each(|(dst, &(cx, cy))| {
-            // clip_patch_into writes every element, so stale data from the
-            // previous chunk cannot leak through.
-            clip_patch_into(bands, cx, cy, config.patch_size, dst);
-            if config.normalize {
-                for v in dst.iter_mut() {
-                    *v = (*v - 0.5) * 2.0;
-                }
-            }
-        });
+        .for_each(|(dst, &c)| clip_tile(bands, c, config, dst));
     let x = Tensor::from_vec(
         [chunk.len(), nb, config.patch_size, config.patch_size],
         std::mem::take(batch_buf),
@@ -243,6 +247,18 @@ fn detect_chunk(
     .expect("scan batch tensor");
     let dets = detector.detect_tensor(&x);
     *batch_buf = x.into_vec();
+    dets
+}
+
+/// Maps a chunk's per-tile detections to raster coordinates, appending
+/// those that land on the raster to `raw`.
+fn push_detections(
+    dets: Vec<Option<Detection>>,
+    chunk: &[(usize, usize)],
+    config: &ScanConfig,
+    (h, w): (usize, usize),
+    raw: &mut Vec<SceneDetection>,
+) {
     for (det, &(cx, cy)) in dets.into_iter().zip(chunk) {
         if let Some(d) = det {
             // Patch-normalized box → raster coordinates.
@@ -262,12 +278,62 @@ fn detect_chunk(
     }
 }
 
+/// Runs every tile centred at `centers` through the detector in chunks of
+/// the batch size, handing each chunk and its per-tile detections to
+/// `sink`. With `shared` levels (see `trunk::shared_levels`) the first
+/// conv levels run once over the scene and each chunk enters the network
+/// after them; otherwise every tile runs the whole network. Either way
+/// the detections are the same, bit for bit.
+fn scan_chunks(
+    detector: &DrainageCrossingDetector,
+    bands: &Tensor,
+    config: &ScanConfig,
+    centers: &[(usize, usize)],
+    shared: Option<usize>,
+    mut sink: impl FnMut(&[(usize, usize)], Vec<Option<Detection>>),
+) {
+    let batch = config.batch_size.max(1);
+    let mut buf: Vec<f32> = Vec::new();
+    let Some(levels) = shared else {
+        for chunk in centers.chunks(batch) {
+            let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
+            dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
+            sink(
+                chunk,
+                detect_chunk(detector, bands, chunk, config, &mut buf),
+            );
+        }
+        return;
+    };
+    let mut trunk = SharedTrunk::new(detector.model(), bands, config, levels, centers);
+    let dims = trunk.tile_dims();
+    let per_tile: usize = dims.iter().product();
+    for chunk in centers.chunks(batch) {
+        let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
+        dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
+        buf.resize(chunk.len() * per_tile, 0.0);
+        trunk.tile_maps(chunk, &mut buf);
+        let [c, th, tw] = dims;
+        let x = Tensor::from_vec([chunk.len(), c, th, tw], std::mem::take(&mut buf))
+            .expect("scan tile maps");
+        let dets = detector.detect_from_block(trunk.tail_block(), &x);
+        buf = x.into_vec();
+        sink(chunk, dets);
+    }
+}
+
 /// Scans a rendered scene (`[bands, H, W]` tensor) with the detector.
 ///
 /// Returns NMS-deduplicated detections in raster coordinates, sorted by
 /// descending score.
+///
+/// When tiles overlap at an even stride, the first conv levels run once
+/// over the scene and each tile recomputes only the border ring its own
+/// zero padding changes (see `scan/trunk.rs`); the detections are bit-identical
+/// to running every tile through the whole network, which any other
+/// stride does. Panics on a zero stride or a scene smaller than a patch.
 pub fn scan_scene(
-    detector: &mut DrainageCrossingDetector,
+    detector: &DrainageCrossingDetector,
     bands: &Tensor,
     config: &ScanConfig,
 ) -> Vec<SceneDetection> {
@@ -277,19 +343,11 @@ pub fn scan_scene(
     let _span = dcd_obs::span("scan.scene", dcd_obs::Category::Scan);
     let (h, w) = scene_dims(bands, config);
     let centers = tile_centers(w, h, config);
+    let shared = trunk::shared_levels(detector.model(), config.patch_size, config.stride);
     let mut raw: Vec<SceneDetection> = Vec::new();
-    let mut batch_buf: Vec<f32> = Vec::new();
-    for chunk in centers.chunks(config.batch_size.max(1)) {
-        detect_chunk(
-            detector,
-            bands,
-            chunk,
-            config,
-            (h, w),
-            &mut batch_buf,
-            &mut raw,
-        );
-    }
+    scan_chunks(detector, bands, config, &centers, shared, |chunk, dets| {
+        push_detections(dets, chunk, config, (h, w), &mut raw)
+    });
     let kept = nms(raw, w, h, config.nms_iou);
     suppress_within_radius(kept, config.nms_radius)
 }
@@ -409,9 +467,10 @@ impl std::error::Error for ScanError {}
 /// schedule that keeps failing is swapped for the sequential baseline.
 /// Because every tile is re-enqueued until its inference succeeds, the
 /// detections are identical to a fault-free [`scan_scene`] whenever the scan
-/// completes.
+/// completes. Each tile runs the whole network (degraded batches re-chunk
+/// the tiles freely), and a zero stride panics.
 pub fn scan_scene_resilient(
-    detector: &mut DrainageCrossingDetector,
+    detector: &DrainageCrossingDetector,
     bands: &Tensor,
     config: &ScanConfig,
     sim: &SimScanConfig,
@@ -459,15 +518,10 @@ pub fn scan_scene_resilient(
                 })
             }
         }
-        detect_chunk(
-            detector,
-            bands,
-            &chunk,
-            config,
-            (h, w),
-            &mut batch_buf,
-            &mut raw,
-        );
+        let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
+        dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
+        let dets = detect_chunk(detector, bands, &chunk, config, &mut batch_buf);
+        push_detections(dets, &chunk, config, (h, w), &mut raw);
     }
     let kept = nms(raw, w, h, config.nms_iou);
     Ok(ResilientScanReport {
@@ -621,7 +675,7 @@ mod tests {
         let ds = PatchDataset::generate(&cfg, 11);
         let bands = render_bands(&ds.scene, 0.03, &mut SeededRng::new(9));
         let scan = ScanConfig::for_patch(48).with_batch_size(8).with_stride(24);
-        let dets = scan_scene(&mut detector, &bands, &scan);
+        let dets = scan_scene(&detector, &bands, &scan);
         assert!(dets.iter().all(|d| d.score.is_finite()));
     }
 
@@ -671,8 +725,8 @@ mod tests {
         let ds = PatchDataset::generate(&cfg, 21);
         let bands = render_bands(&ds.scene, 0.03, &mut SeededRng::new(9));
         let scan = ScanConfig::for_patch(48).with_batch_size(8).with_stride(24);
-        let par = scan_scene(&mut detector, &bands, &scan);
-        let seq = rayon::force_sequential(|| scan_scene(&mut detector, &bands, &scan));
+        let par = scan_scene(&detector, &bands, &scan);
+        let seq = rayon::force_sequential(|| scan_scene(&detector, &bands, &scan));
         assert!(
             !par.is_empty(),
             "untrained scan at threshold 0 found nothing"
@@ -701,7 +755,7 @@ mod tests {
         let ds = PatchDataset::generate(&cfg, 21);
         let bands = render_bands(&ds.scene, 0.03, &mut SeededRng::new(9));
         let scan = ScanConfig::for_patch(48).with_batch_size(8).with_stride(24);
-        let plain = scan_scene(&mut detector, &bands, &scan);
+        let plain = scan_scene(&detector, &bands, &scan);
         let sim = SimScanConfig::new()
             .with_device(DeviceSpec::test_gpu())
             .with_fault_plan(FaultPlan {
@@ -710,7 +764,7 @@ mod tests {
                 memcpy_failure_rate: 0.01,
                 ..FaultPlan::none()
             });
-        let report = scan_scene_resilient(&mut detector, &bands, &scan, &sim)
+        let report = scan_scene_resilient(&detector, &bands, &scan, &sim)
             .expect("transient faults are absorbed");
         assert_eq!(
             report.detections, plain,
@@ -721,6 +775,95 @@ mod tests {
         assert!(!report.fell_back);
         assert_eq!(report.batch, 8);
         assert!(report.sim_ns > 0);
+    }
+
+    /// Every tile's detection, in scan order, through the shared trunk
+    /// (when `shared`) or through the whole network per tile.
+    fn tile_detections(
+        detector: &DrainageCrossingDetector,
+        bands: &Tensor,
+        config: &ScanConfig,
+        shared: Option<usize>,
+    ) -> Vec<Detection> {
+        let (h, w) = scene_dims(bands, config);
+        let centers = tile_centers(w, h, config);
+        let mut all = Vec::new();
+        scan_chunks(detector, bands, config, &centers, shared, |chunk, dets| {
+            assert_eq!(dets.len(), chunk.len());
+            all.extend(dets.into_iter().map(|d| d.expect("threshold is -inf")));
+        });
+        all
+    }
+
+    /// A 4-band untrained detector with the given conv1 kernel, firing on
+    /// every tile.
+    fn untrained(conv1_kernel: usize, seed: u64) -> DrainageCrossingDetector {
+        use dcd_nn::SppNet;
+        let mut arch = SppNetConfig::tiny();
+        arch.in_channels = 4;
+        arch.conv1_kernel = conv1_kernel;
+        let mut detector =
+            DrainageCrossingDetector::from_model(SppNet::new(arch, &mut SeededRng::new(seed)));
+        detector.threshold = f32::NEG_INFINITY;
+        detector
+    }
+
+    #[test]
+    fn shared_trunk_matches_per_tile_scan_bitwise() {
+        // Strides sharing 2 levels (2, 6, 10) and 3 (8, 12), an odd
+        // stride and strides at or past the patch (both per tile), every
+        // conv1 kernel of the search space, on a 71×58 raster that no
+        // stride divides. Batch 5 leaves ragged last chunks and tile rows
+        // split across chunks, some into one-tile groups.
+        let bands = Tensor::uniform([4, 58, 71], 0.0, 1.0, &mut SeededRng::new(12));
+        for kernel in dcd_nn::sppnet::CONV1_KERNEL_CHOICES {
+            let detector = untrained(kernel, 40 + kernel as u64);
+            for stride in [2, 6, 8, 10, 12, 5, 24, 30] {
+                let config = ScanConfig::for_patch(24)
+                    .with_stride(stride)
+                    .with_batch_size(5);
+                let shared = trunk::shared_levels(detector.model(), 24, stride);
+                assert_eq!(shared.is_some(), stride.is_multiple_of(2) && stride < 24);
+                let got = tile_detections(&detector, &bands, &config, shared);
+                let want = tile_detections(&detector, &bands, &config, None);
+                assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let bits = |d: &Detection| {
+                        [d.score, d.bbox.cx, d.bbox.cy, d.bbox.w, d.bbox.h].map(f32::to_bits)
+                    };
+                    assert_eq!(bits(g), bits(w), "k={kernel} stride={stride} tile {i}");
+                }
+                // And the whole scan, suppression included.
+                let plain = rayon::force_sequential(|| {
+                    let (h, w) = scene_dims(&bands, &config);
+                    let mut raw = Vec::new();
+                    let centers = tile_centers(w, h, &config);
+                    scan_chunks(&detector, &bands, &config, &centers, None, |c, d| {
+                        push_detections(d, c, &config, (h, w), &mut raw)
+                    });
+                    suppress_within_radius(nms(raw, w, h, config.nms_iou), config.nms_radius)
+                });
+                assert_eq!(scan_scene(&detector, &bands, &config), plain);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn zero_stride_is_rejected() {
+        let bands = Tensor::zeros([4, 64, 64]);
+        let config = ScanConfig::for_patch(24).with_stride(0);
+        scan_scene(&untrained(3, 1), &bands, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn zero_stride_is_rejected_by_the_resilient_scan() {
+        let bands = Tensor::zeros([4, 64, 64]);
+        let mut config = ScanConfig::for_patch(24);
+        config.stride = 0;
+        let sim = SimScanConfig::new().with_device(DeviceSpec::test_gpu());
+        let _ = scan_scene_resilient(&untrained(3, 1), &bands, &config, &sim);
     }
 
     #[test]
@@ -747,7 +890,7 @@ mod tests {
         detector.threshold = 0.6;
         let bands = render_bands(&ds.scene, 0.03, &mut SeededRng::new(9));
         let scan = ScanConfig::for_patch(64).with_batch_size(16);
-        let dets = scan_scene(&mut detector, &bands, &scan);
+        let dets = scan_scene(&detector, &bands, &scan);
         assert!(!dets.is_empty(), "scan found nothing");
         // Only interior crossings can sit at a tile centre (edge crossings
         // were likewise excluded from training patches).

@@ -36,5 +36,5 @@ pub use metrics::{average_precision, iou, PrPoint};
 pub use param::Param;
 pub use serialize::{Checkpoint, CheckpointError};
 pub use sgd::Sgd;
-pub use sppnet::{SppNet, SppNetConfig};
+pub use sppnet::{BlockGeometry, SppNet, SppNetConfig, CONV_BLOCKS};
 pub use trainer::{EpochStats, TrainConfig, Trainer};

@@ -160,17 +160,40 @@ impl DetectionOutput {
     }
 }
 
-/// The SPP-Net model: one trunk (three conv blocks, the SPP layer and the
-/// FC layers with their ReLUs) feeding objectness and box heads.
+/// Number of C–P blocks in the trunk.
+pub const CONV_BLOCKS: usize = 3;
+
+/// One C–P block's geometry: a stride-1 `kernel × kernel` convolution
+/// from `c_in` to `c_out` channels with `pad` zeros on each side, then a
+/// ReLU and a 2×2/2 max pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockGeometry {
+    /// Input channels.
+    pub c_in: usize,
+    /// Output channels.
+    pub c_out: usize,
+    /// Square filter size.
+    pub kernel: usize,
+    /// Zero padding on each side (`kernel / 2`: a "same" convolution).
+    pub pad: usize,
+}
+
+/// The SPP-Net model: a trunk of [`CONV_BLOCKS`] C–P blocks, then the
+/// SPP layer and the FC layers with their ReLUs, feeding objectness and
+/// box heads.
 ///
 /// Training ([`SppNet::forward`]) and inference
 /// ([`SppNet::forward_inference`]) walk the same layers and differ only in
 /// calling [`Layer::forward`] or [`Layer::infer`], so their outputs are
-/// bit-identical.
+/// bit-identical. Inference can also start at any block
+/// ([`SppNet::forward_inference_from`]) from feature maps computed
+/// elsewhere — the scene scan's shared trunk.
 pub struct SppNet {
     /// The hyper-parameters this instance was built from.
     pub config: SppNetConfig,
-    trunk: Sequential,
+    blocks: [ConvBlock; CONV_BLOCKS],
+    /// SPP, FC layers and their ReLUs.
+    fc: Sequential,
     head_obj: Linear,
     head_box: Linear,
 }
@@ -191,34 +214,51 @@ impl SppNet {
         let mut head_box = Linear::new(trunk_out, 4, rng);
         head_box.weight.value = Tensor::randn([trunk_out, 4], 0.0, 1e-3, rng);
         head_box.bias.value = Tensor::from_vec([4], vec![0.5, 0.5, 0.2, 0.2]).expect("prior");
-        let mut trunk = Sequential::new()
-            .push(ConvBlock::new(
-                config.in_channels,
-                c1,
-                config.conv1_kernel,
-                rng,
-            ))
-            .push(ConvBlock::new(c1, c2, 3, rng))
-            .push(ConvBlock::new(c2, c3, 3, rng))
+        let blocks = [
+            ConvBlock::new(config.in_channels, c1, config.conv1_kernel, rng),
+            ConvBlock::new(c1, c2, 3, rng),
+            ConvBlock::new(c2, c3, 3, rng),
+        ];
+        let mut fc = Sequential::new()
             .push(SppLayer::new(config.spp_levels()))
             .push(fc1)
             .push(Relu::new());
         if let Some(fc2) = fc2 {
-            trunk = trunk.push(fc2).push(Relu::new());
+            fc = fc.push(fc2).push(Relu::new());
         }
         SppNet {
-            trunk,
+            blocks,
+            fc,
             head_obj: Linear::new(trunk_out, 1, rng),
             head_box,
             config,
         }
     }
 
+    /// Geometry of C–P block `i` (`0..CONV_BLOCKS`).
+    pub fn block_geometry(&self, i: usize) -> BlockGeometry {
+        let block = &self.blocks[i];
+        let (c_out, c_in, kernel, _) = block.weight.value.shape().nchw();
+        BlockGeometry {
+            c_in,
+            c_out,
+            kernel,
+            pad: block.pad(),
+        }
+    }
+
+    /// C–P block `i` (`0..CONV_BLOCKS`): its weights and bias.
+    pub fn block(&self, i: usize) -> &ConvBlock {
+        &self.blocks[i]
+    }
+
     /// Training forward pass producing objectness logits and box
     /// regressions; records what [`SppNet::backward`] needs.
     pub fn forward(&mut self, x: &Tensor) -> DetectionOutput {
         let _span = dcd_obs::span("sppnet.forward", dcd_obs::Category::Nn);
-        let features = self.trunk.forward(x);
+        let [b1, b2, b3] = &mut self.blocks;
+        let maps = b3.forward(&b2.forward(&b1.forward(x)));
+        let features = self.fc.forward(&maps);
         DetectionOutput::from_heads(
             self.head_obj.forward(&features),
             self.head_box.forward(&features),
@@ -229,8 +269,26 @@ impl SppNet {
     /// through [`Layer::infer`], so it needs only `&self`, records no
     /// backward state and returns bit-identical outputs.
     pub fn forward_inference(&self, x: &Tensor) -> DetectionOutput {
+        self.forward_inference_from(0, x)
+    }
+
+    /// [`SppNet::forward_inference`] from C–P block `block` on: `x` is
+    /// what block `block` takes — the output of block `block − 1` —
+    /// and `block == CONV_BLOCKS` starts at the SPP layer. Bit for bit the
+    /// full pass whenever `x` is bit for bit what the earlier blocks give.
+    pub fn forward_inference_from(&self, block: usize, x: &Tensor) -> DetectionOutput {
+        assert!(
+            block <= CONV_BLOCKS,
+            "block {block} out of range 0..={CONV_BLOCKS}"
+        );
         let _span = dcd_obs::span("sppnet.forward_inference", dcd_obs::Category::Nn);
-        let features = self.trunk.infer(x);
+        let features = match self.blocks[block..].split_first() {
+            None => self.fc.infer(x),
+            Some((first, rest)) => {
+                let maps = rest.iter().fold(first.infer(x), |cur, b| b.infer(&cur));
+                self.fc.infer(&maps)
+            }
+        };
         DetectionOutput::from_heads(
             self.head_obj.infer(&features),
             self.head_box.infer(&features),
@@ -240,7 +298,8 @@ impl SppNet {
     /// Backward pass from head gradients; returns `d loss / d input`.
     pub fn backward(&mut self, grad_obj: &Tensor, grad_box: &Tensor) -> Tensor {
         let g = self.heads_backward(grad_obj, grad_box);
-        self.trunk.backward(&g)
+        let [b1, b2, b3] = &mut self.blocks;
+        b1.backward(&b2.backward(&b3.backward(&self.fc.backward(&g))))
     }
 
     /// [`SppNet::backward`] without `d loss / d input`, which training
@@ -248,7 +307,8 @@ impl SppNet {
     /// first conv block skips its input-gradient GEMM and col2im.
     pub fn backward_params(&mut self, grad_obj: &Tensor, grad_box: &Tensor) {
         let g = self.heads_backward(grad_obj, grad_box);
-        self.trunk.backward_params(&g);
+        let [b1, b2, b3] = &mut self.blocks;
+        b1.backward_params(&b2.backward(&b3.backward(&self.fc.backward(&g))));
     }
 
     /// Backpropagates through both heads; returns the trunk-output gradient.
@@ -262,7 +322,12 @@ impl SppNet {
     /// All trainable parameters: conv blocks, FC layers, then the
     /// objectness and box heads (the [`crate::Checkpoint`] order).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params = self.trunk.params_mut();
+        let mut params: Vec<&mut Param> = self
+            .blocks
+            .iter_mut()
+            .flat_map(|b| b.params_mut())
+            .collect();
+        params.extend(self.fc.params_mut());
         params.extend(self.head_obj.params_mut());
         params.extend(self.head_box.params_mut());
         params
@@ -274,8 +339,14 @@ impl SppNet {
     }
 
     /// Runs inference on a batch and decodes per-image detections.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<Detection> {
-        let out = self.forward_inference(x);
+    pub fn predict(&self, x: &Tensor) -> Vec<Detection> {
+        self.predict_from(0, x)
+    }
+
+    /// [`SppNet::predict`] from C–P block `block` on (see
+    /// [`SppNet::forward_inference_from`]).
+    pub fn predict_from(&self, block: usize, x: &Tensor) -> Vec<Detection> {
+        let out = self.forward_inference_from(block, x);
         let n = out.obj_logits.numel();
         (0..n)
             .map(|i| Detection {
@@ -443,7 +514,7 @@ mod tests {
     #[test]
     fn predict_scores_are_probabilities() {
         let mut r = rng();
-        let mut net = SppNet::new(SppNetConfig::tiny(), &mut r);
+        let net = SppNet::new(SppNetConfig::tiny(), &mut r);
         let x = Tensor::randn([3, 1, 16, 16], 0.0, 1.0, &mut r);
         let dets = net.predict(&x);
         assert_eq!(dets.len(), 3);

@@ -9,9 +9,11 @@
 //!
 //! The batch dimension is embarrassingly parallel; forward and backward both
 //! fan out over samples with rayon and reduce weight gradients with in-order
-//! combination (no shared mutable state). A batch smaller than the pool
-//! (batch-1 queries) instead splits each sample's output rows between
-//! threads.
+//! combination (no shared mutable state). A forward batch smaller than
+//! the pool (batch-1 queries) instead shares each sample's column slabs out
+//! between threads, each packing and sweeping whole slabs.
+//! [`conv2d_relu_at`] runs the same forward over an explicit list of output
+//! positions, such as a tile's border ring.
 //!
 //! Hot-path memory discipline: the weight matrix is packed once per call
 //! ([`PackedLhs`]) and shared read-only by every sample. The forward pass
@@ -45,7 +47,9 @@
 //! Per-sample weight and bias gradients are summed in sample order after
 //! the join. In steady state neither direction allocates per sample.
 
-use crate::gemm::{gemm_packed, gemm_slab, gemm_slice, interleave, Epilogue, PackedLhs, Trans};
+use crate::gemm::{
+    gemm_packed, gemm_slab, gemm_slice, interleave, CRows, Epilogue, PackedLhs, Trans,
+};
 use crate::gemm::{select_mr, select_nr, NR_MAX, PAR_WORK};
 use crate::pool::{pool_sample, relu_pool2x2_backward_sample, MaxIndices, Windows};
 use crate::scratch;
@@ -184,32 +188,75 @@ fn pad_into(x: &[f32], g: &Geom, xp: &mut [f32]) {
     }
 }
 
-/// Packs one column-panel of a sample's im2col matrix — output columns
-/// `j0..j0 + width` — straight from the zero-padded image `xp` (see
+/// The output columns a forward call computes for each sample: the whole
+/// `OH·OW` map, or an explicit list of linear output positions `oy·OW +
+/// ox`.
+#[derive(Debug, Clone, Copy)]
+enum Columns<'a> {
+    Map(usize),
+    At(&'a [usize]),
+}
+
+impl Columns<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Columns::Map(n) => *n,
+            Columns::At(ps) => ps.len(),
+        }
+    }
+}
+
+/// Packs one column-panel of a sample's im2col matrix — columns `j0..j0 +
+/// width` of `cols` — straight from the zero-padded image `xp` (see
 /// [`pad_into`]) into `panel`, in the GEMM's packed-`B` layout: `nr =
 /// panel.len() / k` lanes per `k`-step, so element `(p, jj)` lands at
 /// `p·nr + jj`.
 ///
 /// Every lane is written — those past a ragged last panel's `width` with
 /// 0 — so `panel` may hold stale data on entry.
-fn pack_panel(xp: &[f32], g: &Geom, j0: usize, width: usize, panel: &mut [f32]) {
+fn pack_panel(xp: &[f32], g: &Geom, cols: Columns, j0: usize, width: usize, panel: &mut [f32]) {
     let (hp, wp, s) = (g.h + 2 * g.pad, g.w + 2 * g.pad, g.stride);
     let nr = panel.len() / (g.c * g.kh * g.kw);
-    // The panel's columns split into runs along output rows: a run fills
-    // lanes `lane..lane + len` from `xp[tap + off + t·stride]`, where `tap`
-    // is the offset of window position `(ci, ki, kj)`.
+    // The panel's columns split into runs of consecutive positions along
+    // an output row: a run fills lanes `lane..lane + len` from `xp[tap +
+    // off + t·stride]`, where `tap` is the offset of window position `(ci,
+    // ki, kj)`.
     let mut runs = [(0usize, 0usize, 0usize); NR_MAX];
     let mut nruns = 0;
-    let (mut oy, mut ox, mut lane) = (j0 / g.ow, j0 % g.ow, 0);
-    while lane < width {
-        let len = (g.ow - ox).min(width - lane);
-        runs[nruns] = (lane, len, oy * s * wp + ox * s);
-        nruns += 1;
-        lane += len;
-        oy += 1;
-        ox = 0;
+    match cols {
+        // A full map's columns run along output rows.
+        Columns::Map(_) => {
+            let (mut oy, mut ox, mut lane) = (j0 / g.ow, j0 % g.ow, 0);
+            while lane < width {
+                let len = (g.ow - ox).min(width - lane);
+                runs[nruns] = (lane, len, oy * s * wp + ox * s);
+                nruns += 1;
+                lane += len;
+                oy += 1;
+                ox = 0;
+            }
+        }
+        Columns::At(ps) => {
+            let mut prev = usize::MAX;
+            for (lane, &p) in ps[j0..j0 + width].iter().enumerate() {
+                if nruns > 0 && p == prev + 1 && !p.is_multiple_of(g.ow) {
+                    runs[nruns - 1].1 += 1;
+                } else {
+                    let (oy, ox) = (p / g.ow, p % g.ow);
+                    runs[nruns] = (lane, 1, oy * s * wp + ox * s);
+                    nruns += 1;
+                }
+                prev = p;
+            }
+        }
     }
     let runs = &runs[..nruns];
+    // Many short runs (a ring's side strips, two lanes a row) gather lane
+    // by lane instead: a call per two-float copy would cost more than the
+    // copy.
+    if nruns > 4 {
+        return gather_panel(xp, g, runs, width, panel);
+    }
     let mut lanes = panel.chunks_exact_mut(nr);
     for ci in 0..g.c {
         for ki in 0..g.kh {
@@ -233,22 +280,56 @@ fn pack_panel(xp: &[f32], g: &Geom, j0: usize, width: usize, panel: &mut [f32]) 
     }
 }
 
+/// [`pack_panel`] for a panel of many short `runs` (`(lane, len, offset)`
+/// into a window's first tap): every lane's source offset is worked out
+/// once, then each `k`-step gathers the panel lane by lane.
+fn gather_panel(
+    xp: &[f32],
+    g: &Geom,
+    runs: &[(usize, usize, usize)],
+    width: usize,
+    panel: &mut [f32],
+) {
+    let (hp, wp) = (g.h + 2 * g.pad, g.w + 2 * g.pad);
+    let nr = panel.len() / (g.c * g.kh * g.kw);
+    let mut offsets = [0usize; NR_MAX];
+    for &(lane, len, off) in runs {
+        for t in 0..len {
+            offsets[lane + t] = off + t * g.stride;
+        }
+    }
+    let offsets = &offsets[..width];
+    let mut lanes = panel.chunks_exact_mut(nr);
+    for ci in 0..g.c {
+        for ki in 0..g.kh {
+            for kj in 0..g.kw {
+                let dst = lanes.next().expect("one lane row per k-step");
+                let src = &xp[(ci * hp + ki) * wp + kj..];
+                for (d, &o) in dst.iter_mut().zip(offsets) {
+                    *d = src[o];
+                }
+                dst[width..].fill(0.0);
+            }
+        }
+    }
+}
+
 /// One forward call's shared state: the geometry, the weights packed once
-/// for every sample, the bias epilogue and the slab shape each sample's
-/// sweep uses.
+/// for every sample, the bias epilogue, the columns each sample computes
+/// and the slab shape its sweep uses.
 struct Forward<'a> {
     g: Geom,
     c_out: usize,
     k: usize,
     pw: PackedLhs,
     ep: Epilogue<'a>,
+    cols: Columns<'a>,
     /// Column-panel width and slab width (a multiple of it).
     nr: usize,
     nc: usize,
-    /// Whether each sample's slab packing and sweep is split across the
-    /// pool, and the sweep's row-block height when it is.
+    /// Fewer samples than threads: each sample's slabs are shared out
+    /// between the pool, one thread packing and sweeping each whole slab.
     split: bool,
-    mc: usize,
 }
 
 impl<'a> Forward<'a> {
@@ -256,9 +337,9 @@ impl<'a> Forward<'a> {
         input: &Tensor,
         weight: &Tensor,
         bias: &'a Tensor,
-        stride: usize,
-        pad: usize,
+        (stride, pad): (usize, usize),
         relu: bool,
+        positions: Option<&'a [usize]>,
     ) -> Self {
         let (n, c_in, h, w) = input.shape().nchw();
         let (c_out, wc_in, kh, kw) = weight.shape().nchw();
@@ -278,9 +359,22 @@ impl<'a> Forward<'a> {
             oh: out_dim(h, kh, stride, pad),
             ow: out_dim(w, kw, stride, pad),
         };
-        let k = c_in * kh * kw;
         let ospatial = g.oh * g.ow;
-        dcd_obs::counter!("conv.flops").add(2 * (n * c_out * k * ospatial) as u64);
+        let cols = match positions {
+            None => Columns::Map(ospatial),
+            Some(ps) => {
+                if let Some(&p) = ps.iter().find(|&&p| p >= ospatial) {
+                    panic!(
+                        "conv2d: output position {p} outside the {}×{} map",
+                        g.oh, g.ow
+                    );
+                }
+                Columns::At(ps)
+            }
+        };
+        let k = c_in * kh * kw;
+        let ncols = cols.len();
+        dcd_obs::counter!("conv.flops").add(2 * (n * c_out * k * ncols) as u64);
 
         // Pack the weight matrix once; every sample's slabs read it in place.
         let pw = PackedLhs::pack(weight.data(), Trans::No, c_out, k);
@@ -290,34 +384,40 @@ impl<'a> Forward<'a> {
             Epilogue::BiasRows(bias.data())
         };
         // Slab width: a multiple of the column-panel width `nr`, about
-        // SLAB_BYTES of packed columns, no wider than the (padded) output.
-        let nr = select_nr(ospatial);
-        let nc = (SLAB_BYTES / (4 * k.max(1)) / nr * nr)
-            .max(nr)
-            .min(ospatial.next_multiple_of(nr));
-        // Fewer samples than threads: split each sample's slab packing by
-        // column-panel and its sweep into row blocks (multiples of the weight
-        // panel height) so the whole pool works on it.
+        // SLAB_BYTES of packed columns, no wider than the (padded) columns.
+        let nr = select_nr(ncols);
+        let widest = (SLAB_BYTES / (4 * k.max(1)) / nr * nr).max(nr);
+        let mut nc = widest.min(ncols.next_multiple_of(nr));
+        // Fewer samples than threads: cut each sample's columns into a
+        // multiple of the threads serving it, so the slabs share out evenly.
         let threads = rayon::current_num_threads();
-        let split = n < threads && c_out * k * ospatial >= PAR_WORK;
-        let mc = if split {
-            c_out
-                .div_ceil(threads.div_ceil(n))
-                .next_multiple_of(pw.mr())
-        } else {
-            c_out
-        };
+        let split = n < threads && c_out * k * ncols >= PAR_WORK;
+        if split {
+            let slabs = ncols.div_ceil(widest).next_multiple_of(threads.div_ceil(n));
+            nc = ncols.div_ceil(slabs).next_multiple_of(nr);
+        }
         Forward {
             g,
             c_out,
             k,
             pw,
             ep,
+            cols,
             nr,
             nc,
             split,
-            mc,
         }
+    }
+
+    /// Convolves every sample of `input` (one per pool thread at a time)
+    /// into a fresh `[N, C_out, columns]` buffer.
+    fn run(&self, input: &Tensor) -> Vec<f32> {
+        let n = input.dims()[0];
+        let mut out = vec![0.0f32; n * self.sample_out()];
+        out.par_chunks_mut(self.sample_out())
+            .zip(input.data().par_chunks(self.sample_in()))
+            .for_each(|(o, x)| self.sample(x, o));
+        out
     }
 
     /// Floats per input sample `[C_in, H, W]`.
@@ -325,65 +425,85 @@ impl<'a> Forward<'a> {
         self.g.c * self.g.h * self.g.w
     }
 
-    /// Floats per output sample `[C_out, OH, OW]`.
+    /// Floats per output sample `[C_out, columns]`.
     fn sample_out(&self) -> usize {
-        self.c_out * self.g.oh * self.g.ow
+        self.c_out * self.cols.len()
     }
 
-    /// Convolves one sample `x` into `o` (`[C_out, OH, OW]`), writing every
-    /// element, so `o` may hold stale data on entry.
+    /// Packs columns `cols` of the sample whose padded image is `xp` into
+    /// `slab` (a scratch buffer of at least `nc·k` floats, whatever it
+    /// holds) and sweeps the packed weights over it, writing every output
+    /// channel's `cols` through `c`.
+    fn slab(&self, xp: &[f32], cols: Range<usize>, slab: &mut [f32], c: CRows) {
+        let (nr, k) = (self.nr, self.k);
+        let slab = &mut slab[..cols.len().div_ceil(nr) * nr * k];
+        for (pj, panel) in slab.chunks_mut(nr * k).enumerate() {
+            let c0 = cols.start + pj * nr;
+            pack_panel(xp, &self.g, self.cols, c0, nr.min(cols.end - c0), panel);
+        }
+        gemm_slab(&self.pw, slab, nr, c, cols, self.ep);
+    }
+
+    /// Convolves one sample `x` into `o` (`[C_out, columns]`), writing
+    /// every element, so `o` may hold stale data on entry.
+    ///
+    /// A split sample shares its slabs out between the pool in one
+    /// fork-join: each thread packs and sweeps whole slabs, writing each
+    /// output channel's slice of the slab's columns.
     fn sample(&self, x: &[f32], o: &mut [f32]) {
-        let Forward {
-            g,
-            c_out,
-            k,
-            ref pw,
-            ep,
-            nr,
-            nc,
-            split,
-            mc,
-        } = *self;
-        let ospatial = g.oh * g.ow;
+        let g = self.g;
+        let (ncols, nc) = (self.cols.len(), self.nc);
         let mut xp = scratch::take_overwrite(g.c * (g.h + 2 * g.pad) * (g.w + 2 * g.pad));
         pad_into(x, &g, &mut xp);
-        let mut slab = scratch::take_overwrite(nc * k);
-        for j0 in (0..ospatial).step_by(nc) {
-            let cols = j0..(j0 + nc).min(ospatial);
-            let panels = &mut slab[..cols.len().div_ceil(nr) * nr * k];
-            let pack = |(pj, panel): (usize, &mut [f32])| {
-                let c0 = cols.start + pj * nr;
-                pack_panel(&xp, &g, c0, nr.min(cols.end - c0), panel);
-            };
-            if split {
-                panels.par_chunks_mut(nr * k).enumerate().for_each(pack);
-            } else {
-                panels.chunks_mut(nr * k).enumerate().for_each(pack);
+        if self.split {
+            // Slab `s` owns columns `s·nc..` of every output channel.
+            let mut slabs: Vec<Vec<&mut [f32]>> = (0..ncols.div_ceil(nc))
+                .map(|_| Vec::with_capacity(self.c_out))
+                .collect();
+            for row in o.chunks_mut(ncols) {
+                for (slab, cols) in slabs.iter_mut().zip(row.chunks_mut(nc)) {
+                    slab.push(cols);
+                }
             }
-            let sweep = |(blk, c_blk): (usize, &mut [f32])| {
-                let rows = blk * mc..(blk * mc + mc).min(c_out);
-                gemm_slab(pw, &slab, nr, c_blk, rows, cols.clone(), ospatial, ep);
-            };
-            if split {
-                o.par_chunks_mut(mc * ospatial).enumerate().for_each(sweep);
-            } else {
-                sweep((0, o));
+            slabs.par_iter_mut().enumerate().for_each(|(s, rows)| {
+                let cols = s * nc..(s * nc + nc).min(ncols);
+                let mut slab = scratch::take_overwrite(nc * self.k);
+                self.slab(&xp, cols, &mut slab, CRows::Slices(rows));
+                scratch::release(slab);
+            });
+        } else {
+            // One slab buffer for every slab of the sample: a ragged last
+            // slab only borrows a prefix of it.
+            let mut slab = scratch::take_overwrite(nc * self.k);
+            for j0 in (0..ncols).step_by(nc) {
+                let cols = j0..(j0 + nc).min(ncols);
+                self.slab(&xp, cols, &mut slab, CRows::Strided(o, ncols));
             }
+            scratch::release(slab);
         }
-        scratch::release(slab);
         scratch::release(xp);
     }
 
     /// Convolves one sample `x` into a scratch activation and 2×2/2-pools
-    /// that into `o` (`[C_out, OH/2, OW/2]`); `sink` sees every winner as
-    /// in [`pool_sample`].
-    fn sample_pooled(&self, x: &[f32], o: &mut [f32], sink: impl FnMut(usize, usize)) {
+    /// that into `o` (`[C_out, OH/2, OW/2]`); `winners`, when given,
+    /// receives each pooled element's argmax as a linear index into the
+    /// activation, offset by `base` (what [`MaxIndices`] stores).
+    fn sample_pooled(&self, x: &[f32], o: &mut [f32], winners: Option<&mut [usize]>, base: usize) {
         let (oh, ow) = (self.g.oh, self.g.ow);
         let pooled = (POOL_2X2.out_dim(oh), POOL_2X2.out_dim(ow));
         // The GEMM epilogue writes every element: no memset needed.
         let mut act = scratch::take_overwrite(self.sample_out());
         self.sample(x, &mut act);
-        pool_sample(&act, (self.c_out, oh, ow), POOL_2X2, pooled, o, sink);
+        // Pooled on the calling thread even for a split sample: a second
+        // fork-join per sample cost more than it saved (conv1 at batch 1,
+        // 0.9–1.1 ms against 0.6–0.8 ms).
+        let dims = (self.c_out, oh, ow);
+        match winners {
+            Some(ix) => pool_sample(&act, dims, POOL_2X2, pooled, o, |olin, lin| {
+                ix[olin] = base + lin
+            }),
+            None => pool_sample(&act, dims, POOL_2X2, pooled, o, |_, _| {}),
+        }
         scratch::release(act);
     }
 }
@@ -397,12 +517,9 @@ fn conv2d_fused(
     relu: bool,
 ) -> Tensor {
     let _span = dcd_obs::span("conv2d", dcd_obs::Category::Conv);
-    let f = Forward::new(input, weight, bias, stride, pad, relu);
+    let f = Forward::new(input, weight, bias, (stride, pad), relu, None);
     let n = input.dims()[0];
-    let mut out = vec![0.0f32; n * f.sample_out()];
-    out.par_chunks_mut(f.sample_out())
-        .zip(input.data().par_chunks(f.sample_in()))
-        .for_each(|(o, x)| f.sample(x, o));
+    let out = f.run(input);
     Tensor::from_vec([n, f.c_out, f.g.oh, f.g.ow], out).expect("conv2d output size")
 }
 
@@ -421,6 +538,30 @@ pub fn conv2d_relu(
     pad: usize,
 ) -> Tensor {
     conv2d_fused(input, weight, bias, stride, pad, true)
+}
+
+/// [`conv2d_relu`] evaluated at the listed output positions only: element
+/// `(n, co, j)` of the `[N, C_out, positions.len()]` result is, bit for
+/// bit, element `(n, co, oy, ox)` of `conv2d_relu(input, weight, bias,
+/// stride, pad)` for `positions[j] = oy·OW + ox`.
+///
+/// Each listed position runs the same `mul_add` chain over the same taps
+/// as in the full convolution, and runs of consecutive positions along an
+/// output row pack like a full row, so a sparse set of positions — the
+/// border ring of a tile, say — is still one dense GEMM per sample. Panics
+/// on a position outside the output map.
+pub fn conv2d_relu_at(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    (stride, pad): (usize, usize),
+    positions: &[usize],
+) -> Tensor {
+    let _span = dcd_obs::span("conv2d", dcd_obs::Category::Conv);
+    let f = Forward::new(input, weight, bias, (stride, pad), true, Some(positions));
+    let n = input.dims()[0];
+    let out = f.run(input);
+    Tensor::from_vec([n, f.c_out, positions.len()], out).expect("conv2d_relu_at output size")
 }
 
 /// The 2×2/2 max pool [`conv2d_relu_pool`] applies.
@@ -468,7 +609,7 @@ fn conv_relu_pool(
     track: bool,
 ) -> (Tensor, Option<MaxIndices>) {
     let _span = dcd_obs::span("conv2d", dcd_obs::Category::Conv);
-    let f = Forward::new(input, weight, bias, stride, pad, true);
+    let f = Forward::new(input, weight, bias, (stride, pad), true, None);
     let n = input.dims()[0];
     let (oh, ow) = (f.g.oh, f.g.ow);
     let (ph, pw) = (POOL_2X2.out_dim(oh), POOL_2X2.out_dim(ow));
@@ -481,10 +622,7 @@ fn conv_relu_pool(
             .zip(indices.par_chunks_mut(sample_pooled))
             .zip(samples)
             .enumerate()
-            .for_each(|(s, ((o, ix), x))| {
-                let base = s * f.sample_out();
-                f.sample_pooled(x, o, |olin, lin| ix[olin] = base + lin);
-            });
+            .for_each(|(s, ((o, ix), x))| f.sample_pooled(x, o, Some(ix), s * f.sample_out()));
         Some(MaxIndices {
             indices,
             input_dims: [n, f.c_out, oh, ow],
@@ -493,7 +631,7 @@ fn conv_relu_pool(
     } else {
         out.par_chunks_mut(sample_pooled)
             .zip(samples)
-            .for_each(|(o, x)| f.sample_pooled(x, o, |_, _| {}));
+            .for_each(|(o, x)| f.sample_pooled(x, o, None, 0));
         None
     };
     let y = Tensor::from_vec([n, f.c_out, ph, pw], out).expect("conv2d_relu_pool output size");
@@ -1308,13 +1446,52 @@ mod tests {
                 assert_eq!(ix.indices, want_ix.indices, "{}", what("argmax"));
                 assert_eq!(ix.input_dims, want_ix.input_dims);
                 assert_eq!(ix.output_dims, want_ix.output_dims);
+                for (name, ps) in position_sets(oh, ow) {
+                    let got = on(sequential, || {
+                        conv2d_relu_at(&x, &w, &b, (stride, pad), &ps)
+                    });
+                    assert_eq!(got.dims(), &[batch, c_out, ps.len()]);
+                    let want: Vec<f32> = act
+                        .chunks(oh * ow)
+                        .flat_map(|plane| ps.iter().map(|&p| plane[p]))
+                        .collect();
+                    assert_bits(got.data(), &want, &what(&format!("conv2d_relu_at {name}")));
+                }
             }
         }
     }
 
+    /// Output-position lists for [`conv2d_relu_at`]: the one-pixel border
+    /// ring row-major (runs broken at every row), every third position
+    /// backwards, and every position.
+    fn position_sets(oh: usize, ow: usize) -> Vec<(&'static str, Vec<usize>)> {
+        let ring = (0..oh * ow)
+            .filter(|p| {
+                let (y, x) = (p / ow, p % ow);
+                y == 0 || x == 0 || y + 1 == oh || x + 1 == ow
+            })
+            .collect();
+        vec![
+            ("ring", ring),
+            (
+                "every third, reversed",
+                (0..oh * ow).rev().step_by(3).collect(),
+            ),
+            ("all", (0..oh * ow).collect()),
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn conv2d_relu_at_rejects_positions_off_the_map() {
+        let x = Tensor::ones([1, 1, 4, 4]);
+        let (w, b) = (Tensor::ones([1, 1, 3, 3]), Tensor::zeros([1]));
+        conv2d_relu_at(&x, &w, &b, (1, 1), &[16]);
+    }
+
     #[test]
     fn fused_forward_matches_im2col_chain_oracle_bitwise() {
-        // More threads than the batch, so batch 1 and 3 both split rows.
+        // More threads than the batch, so batch 1 and 3 both split slabs.
         rayon::ensure_threads(4);
         // Every kernel/stride/pad combination that fits; output widths of
         // 33–74 straddle the 32-wide column panels.
@@ -1336,7 +1513,7 @@ mod tests {
         const { assert!(9000 * 32 * 4 > SLAB_BYTES) };
         assert_matches_oracle(1000, (9, 9), 5, 3, 1, 1);
         // conv3's 25×25 output pools to 12×12, dropping the last row and
-        // column; c_out = 40 makes batch 1 split rows between 4 threads.
+        // column; batch 1 shares its slabs out between 4 threads.
         assert_matches_oracle(16, (25, 25), 40, 3, 1, 1);
     }
 

@@ -442,11 +442,6 @@ impl PackedLhs {
     pub fn k(&self) -> usize {
         self.k
     }
-
-    /// Rows per packed panel (a row block split must be a multiple of it).
-    pub(crate) fn mr(&self) -> usize {
-        self.mr
-    }
 }
 
 impl Drop for PackedLhs {
@@ -536,10 +531,45 @@ fn fma_tile_zmm<const MR: usize>(apanel: &[f32], bpanel: &[f32], kdim: usize, ac
     }
 }
 
+/// Where a sweep writes its rows of `C`.
+pub(crate) enum CRows<'a, 'b> {
+    /// Rows `rows` of `C` at stride `ldc`, every column at its own index.
+    Strided(&'a mut [f32], usize),
+    /// One slice per row of `rows`, holding just the swept columns `cols`
+    /// (column `j` at `j − cols.start`): a column slab of a larger `C`
+    /// that other threads fill beside it.
+    Slices(&'a mut [&'b mut [f32]]),
+}
+
+/// One [`CRows`] variant, chosen before a sweep so the write-back loop
+/// indexes its rows without a branch.
+trait RowsOut {
+    /// Columns `cols.start + j0..` of row `i` (counted from `rows.start`).
+    fn row(&mut self, i: usize, j0: usize, cols: &Range<usize>) -> &mut [f32];
+}
+
+/// [`CRows::Strided`].
+struct Strided<'a>(&'a mut [f32], usize);
+
+impl RowsOut for Strided<'_> {
+    #[inline(always)]
+    fn row(&mut self, i: usize, j0: usize, cols: &Range<usize>) -> &mut [f32] {
+        &mut self.0[i * self.1 + cols.start + j0..]
+    }
+}
+
+/// [`CRows::Slices`].
+impl RowsOut for &mut [&mut [f32]] {
+    #[inline(always)]
+    fn row(&mut self, i: usize, j0: usize, _cols: &Range<usize>) -> &mut [f32] {
+        &mut self[i][j0..]
+    }
+}
+
 /// Runs every micro-tile of `rows` × `cols` of `C` over the full `k`
 /// extent and writes each back through the epilogue, masking the ragged
 /// edge. `rows.start` is a multiple of `MR`, so row panel `ip / MR` of
-/// `apack` starts at `ip·k`. `c_rows` holds rows `rows` at stride `ldc`;
+/// `apack` starts at `ip·k`. `c` holds rows `rows` (see [`CRows`]);
 /// `bpack` holds the column-panels of `cols` (panel `(jp − cols.start) /
 /// NR` holds columns `jp..jp + NR`). B panels are the outer loop, so one B
 /// micro-panel stays cache-hot while every A panel of the block sweeps it.
@@ -547,24 +577,24 @@ fn fma_tile_zmm<const MR: usize>(apanel: &[f32], bpanel: &[f32], kdim: usize, ac
 fn block<const MR: usize, const NR: usize>(
     apack: &[f32],
     bpack: &[f32],
-    c_rows: &mut [f32],
+    mut c: impl RowsOut,
     rows: Range<usize>,
     cols: Range<usize>,
     k: usize,
-    ldc: usize,
     ep: Epilogue<'_>,
 ) {
     for jp in cols.clone().step_by(NR) {
-        let bpanel = &bpack[(jp - cols.start) * k..(jp - cols.start + NR) * k];
+        let j0 = jp - cols.start;
+        let bpanel = &bpack[j0 * k..(j0 + NR) * k];
         let n_rem = NR.min(cols.end - jp);
         for ip in rows.clone().step_by(MR) {
             let apanel = &apack[ip * k..(ip + MR) * k];
             let m_rem = MR.min(rows.end - ip);
             let mut acc = [[0.0f32; NR]; MR];
             fma_tile(apanel, bpanel, k, &mut acc);
-            let c = &mut c_rows[(ip - rows.start) * ldc + jp..];
             for (i, t) in acc.iter().enumerate().take(m_rem) {
-                ep.write_row(&mut c[i * ldc..i * ldc + n_rem], t, ip + i, jp);
+                let crow = &mut c.row(ip - rows.start + i, j0, &cols)[..n_rem];
+                ep.write_row(crow, t, ip + i, jp);
             }
         }
     }
@@ -587,7 +617,8 @@ pub fn gemm_packed(pa: &PackedLhs, b: &[f32], tb: Trans, c: &mut [f32], n: usize
     let apack = &pa.buf;
     let run = |(blk, c_blk): (usize, &mut [f32])| {
         let rows = blk * MC..(blk * MC + MC).min(m);
-        dispatch_tile!(tile, block(apack, &bpack, c_blk, rows, 0..n, k, n, ep));
+        let c_blk = Strided(c_blk, n);
+        dispatch_tile!(tile, block(apack, &bpack, c_blk, rows, 0..n, k, ep));
     };
     if m * n * k < PAR_WORK {
         c.chunks_mut(MC * n).enumerate().for_each(run);
@@ -599,25 +630,27 @@ pub fn gemm_packed(pa: &PackedLhs, b: &[f32], tb: Trans, c: &mut [f32], n: usize
 
 /// Sweeps the pre-packed `pa` over one packed slab of `B` — columns `cols`
 /// of the product, `nr` per column-panel, full `k` extent, laid out as
-/// [`pack_rhs`] would — writing rows `rows` of `C` (held in `c_rows` at
-/// stride `ldc`) through the epilogue. The convolution forward pass packs
-/// such slabs straight from the input image.
-#[allow(clippy::too_many_arguments)]
+/// [`pack_rhs`] would — writing every row of `C` (see [`CRows`]) through
+/// the epilogue. The convolution forward pass packs such slabs straight
+/// from the input image.
 pub(crate) fn gemm_slab(
     pa: &PackedLhs,
     slab: &[f32],
     nr: usize,
-    c_rows: &mut [f32],
-    rows: Range<usize>,
+    c: CRows<'_, '_>,
     cols: Range<usize>,
-    ldc: usize,
     ep: Epilogue<'_>,
 ) {
-    let k = pa.k;
-    dispatch_tile!(
-        (pa.mr, nr),
-        block(&pa.buf, slab, c_rows, rows, cols, k, ldc, ep)
-    );
+    let (m, k, tile) = (pa.m, pa.k, (pa.mr, nr));
+    match c {
+        CRows::Strided(c, ldc) => {
+            dispatch_tile!(
+                tile,
+                block(&pa.buf, slab, Strided(c, ldc), 0..m, cols, k, ep)
+            )
+        }
+        CRows::Slices(rows) => dispatch_tile!(tile, block(&pa.buf, slab, rows, 0..m, cols, k, ep)),
+    }
 }
 
 /// Continues `C (m×n) = A·B` over one `kc`-step slice of the shared

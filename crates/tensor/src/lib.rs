@@ -25,15 +25,16 @@ pub mod shape;
 pub mod tensor;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
-    conv2d_relu_pool_tracked, Conv2dGrads,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_at, conv2d_relu_pool,
+    conv2d_relu_pool_backward, conv2d_relu_pool_tracked, Conv2dGrads,
 };
 pub use gemm::{
     gemm, gemm_acc, gemm_at, gemm_bias, gemm_bt, gemm_ep, gemm_into, gemm_legacy, gemm_packed,
     matmul, Epilogue, PackedLhs, Trans,
 };
 pub use pool::{
-    adaptive_max_pool2d, adaptive_max_pool2d_values, max_pool2d, max_pool2d_backward, MaxIndices,
+    adaptive_max_pool2d, adaptive_max_pool2d_values, max_pool2d, max_pool2d_backward,
+    max_pool2x2_at, MapLayout, MaxIndices,
 };
 pub use rng::SeededRng;
 pub use shape::{Shape, ShapeError};

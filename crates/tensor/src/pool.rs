@@ -187,6 +187,92 @@ fn window_max(input: &Tensor, windows: Windows, argmax: Option<&mut [usize]>) ->
     Tensor::from_vec([n, c, out_dims.0, out_dims.1], out).expect("pool output size")
 }
 
+/// The 2×2 window max: the window's top pair `a` and bottom pair `b`,
+/// scanned row-major from `-∞` with a strict `>` so ties (and NaNs) keep
+/// the earlier element. Returns the max and the winner's entry of `at`,
+/// the four elements' indices in scan order (0 when nothing beats `-∞`).
+/// Every 2×2 pool in the crate runs this, so any two of them given the
+/// same four values agree bit for bit; callers that need no index pass
+/// zeros, and the index bookkeeping compiles away.
+#[inline(always)]
+fn max2x2(a: &[f32], b: &[f32], at: [usize; 4]) -> (f32, usize) {
+    let mut best = f32::NEG_INFINITY;
+    let mut best_i = 0;
+    for (v, i) in [(a[0], at[0]), (a[1], at[1]), (b[0], at[2]), (b[1], at[3])] {
+        if v > best {
+            best = v;
+            best_i = i;
+        }
+    }
+    (best, best_i)
+}
+
+/// Where a `[C, H, W]` map sits in a flat buffer: element `(c, y, x)` is
+/// at `origin + c·channel_stride + y·row_stride + x`. Describes a window
+/// of a larger map (a tile of a scene-wide feature band, say) without
+/// copying it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MapLayout {
+    /// Offset of element `(0, 0, 0)`.
+    pub origin: usize,
+    /// Distance between channels.
+    pub channel_stride: usize,
+    /// Distance between rows.
+    pub row_stride: usize,
+}
+
+impl MapLayout {
+    /// A dense `[C, H, W]` map starting at `origin`.
+    pub fn dense(origin: usize, (h, w): (usize, usize)) -> Self {
+        MapLayout {
+            origin,
+            channel_stride: h * w,
+            row_stride: w,
+        }
+    }
+
+    /// The same map shifted by `(dy, dx)` elements.
+    pub fn at(self, (dy, dx): (usize, usize)) -> Self {
+        MapLayout {
+            origin: self.origin + dy * self.row_stride + dx,
+            ..self
+        }
+    }
+
+    fn offset(&self, c: usize, y: usize) -> usize {
+        self.origin + c * self.channel_stride + y * self.row_stride
+    }
+}
+
+/// 2×2/2 max pool of a window of `src` into a window of `dst`: output
+/// `(c, y, x)` for `c < C`, `y < OH`, `x < OW` is the max of input `(c,
+/// 2y..2y + 2, 2x..2x + 2)`, both addressed through their [`MapLayout`].
+///
+/// The window may start at any origin of a larger map, so a tile can be
+/// pooled at its own phase straight out of a scene-wide activation. Runs
+/// the kernel [`max_pool2d`] and the fused C–P unit use, so given the same
+/// four values it returns the same bits.
+pub fn max_pool2x2_at(
+    src: &[f32],
+    from: MapLayout,
+    dst: &mut [f32],
+    to: MapLayout,
+    (c, oh, ow): (usize, usize, usize),
+) {
+    for ci in 0..c {
+        for oy in 0..oh {
+            let top = from.offset(ci, 2 * oy);
+            let r0 = &src[top..top + 2 * ow];
+            let r1 = &src[top + from.row_stride..top + from.row_stride + 2 * ow];
+            let o = to.offset(ci, oy);
+            let pairs = r0.chunks_exact(2).zip(r1.chunks_exact(2));
+            for (out, (a, b)) in dst[o..o + ow].iter_mut().zip(pairs) {
+                *out = max2x2(a, b, [0; 4]).0;
+            }
+        }
+    }
+}
+
 /// The one window-max kernel, over one `[C, H, W]` sample `x` into the
 /// `[C, OH, OW]` output `o`. Each output element is the max of its window,
 /// scanned row-major with a strict `>` so ties keep the first element.
@@ -217,16 +303,9 @@ pub(crate) fn pool_sample(
                 let pairs = r0.chunks_exact(2).zip(r1.chunks_exact(2));
                 for (ox, (out, (a, b))) in o_row.iter_mut().zip(pairs).enumerate() {
                     let j = top + 2 * ox;
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_i = 0usize;
-                    for (v, lin) in [(a[0], j), (a[1], j + 1), (b[0], j + w), (b[1], j + w + 1)] {
-                        if v > best {
-                            best = v;
-                            best_i = lin;
-                        }
-                    }
+                    let (best, at) = max2x2(a, b, [j, j + 1, j + w, j + w + 1]);
                     *out = best;
-                    sink(olin + ox, best_i);
+                    sink(olin + ox, at);
                 }
             } else {
                 for (ox, out) in o_row.iter_mut().enumerate() {
@@ -337,6 +416,48 @@ mod tests {
                         assert_eq!(ix.indices[o], best_i, "winner {o}");
                         o += 1;
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_2x2_at_any_origin_matches_max_pool2d_of_the_window() {
+        // A 6×8 window at an odd origin of a [3, 13, 15] map, written into
+        // the middle of a larger destination, must equal max_pool2d of the
+        // window copied out on its own — specials included.
+        let specials = [0.0, -0.0, 1.0, 1.0, f32::NAN, f32::NEG_INFINITY, -2.0];
+        let mut rng = SeededRng::new(15);
+        let (c, h, w) = (3, 13, 15);
+        let map: Vec<f32> = (0..c * h * w)
+            .map(|_| specials[rng.next_u64() as usize % specials.len()])
+            .collect();
+        let (y0, x0, wh, ww) = (3, 5, 6, 8);
+        let window: Vec<f32> = (0..c)
+            .flat_map(|ci| (0..wh).map(move |y| (ci, y)))
+            .flat_map(|(ci, y)| {
+                let row = (ci * h + y0 + y) * w + x0;
+                map[row..row + ww].to_vec()
+            })
+            .collect();
+        let window = Tensor::from_vec([1, c, wh, ww], window).unwrap();
+        let (want, _) = max_pool2d(&window, 2, 2);
+        let (oh, ow) = (wh / 2, ww / 2);
+        let mut dst = vec![7.0f32; c * (oh + 2) * (ow + 3)];
+        let to = MapLayout::dense(0, (oh + 2, ow + 3)).at((1, 2));
+        let from = MapLayout::dense(0, (h, w)).at((y0, x0));
+        max_pool2x2_at(&map, from, &mut dst, to, (c, oh, ow));
+        for ci in 0..c {
+            for y in 0..oh + 2 {
+                for x in 0..ow + 3 {
+                    let got = dst[(ci * (oh + 2) + y) * (ow + 3) + x];
+                    let inside = (1..oh + 1).contains(&y) && (2..ow + 2).contains(&x);
+                    let want = if inside {
+                        want.data()[(ci * oh + y - 1) * ow + x - 2]
+                    } else {
+                        7.0
+                    };
+                    assert_eq!(got.to_bits(), want.to_bits(), "({ci}, {y}, {x})");
                 }
             }
         }

@@ -11,9 +11,9 @@
 
 use dcd_tensor::gemm::gemm_bias;
 use dcd_tensor::{
-    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
-    conv2d_relu_pool_tracked, gemm, gemm_at, gemm_bt, gemm_ep, max_pool2d, max_pool2d_backward,
-    Conv2dGrads, Epilogue, SeededRng, Tensor, Trans,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_at, conv2d_relu_pool,
+    conv2d_relu_pool_backward, conv2d_relu_pool_tracked, gemm, gemm_at, gemm_bt, gemm_ep,
+    max_pool2d, max_pool2d_backward, Conv2dGrads, Epilogue, SeededRng, Tensor, Trans,
 };
 
 fn pin_threads() {
@@ -157,10 +157,11 @@ fn conv2d_relu_parallel_matches_sequential_bitwise() {
 #[test]
 fn small_batch_conv2d_parallel_matches_sequential_bitwise() {
     pin_threads();
-    // Batches smaller than the pool split each sample between threads:
-    // slab panels are packed in parallel and output rows swept in blocks.
-    // conv2's k = 576 gives 448-column slabs, so the 40×40 output spans
-    // four, the last ragged; c_out = 20 splits into uneven row blocks.
+    // Batches smaller than the pool split each sample between threads,
+    // each packing and sweeping whole column slabs. conv2's k = 576 caps
+    // slabs at 448 columns, so the 40×40 output cuts into four (a multiple
+    // of the threads per sample), the last ragged; c_out = 20 leaves a
+    // ragged row panel.
     let mut rng = SeededRng::new(83);
     let w = Tensor::randn([20, 64, 3, 3], 0.0, 0.1, &mut rng);
     let b = Tensor::randn([20], 0.0, 0.1, &mut rng);
@@ -183,7 +184,7 @@ fn small_batch_conv2d_parallel_matches_sequential_bitwise() {
 fn conv2d_relu_pool_parallel_matches_sequential_bitwise() {
     pin_threads();
     // The fused C–P kernel at batch 6 (per-sample split) and at batch 1
-    // and 3 (each sample's rows split across the pool), on an odd 25×25
+    // and 3 (each sample's slabs split across the pool), on an odd 25×25
     // output that pools to 12×12. Argmaxes route a gradient to compare.
     let mut rng = SeededRng::new(97);
     let w = Tensor::randn([20, 32, 3, 3], 0.0, 0.1, &mut rng);
@@ -204,6 +205,48 @@ fn conv2d_relu_pool_parallel_matches_sequential_bitwise() {
         let par_gx = max_pool2d_backward(&go, &par_ix);
         let seq_gx = max_pool2d_backward(&go, &seq_ix);
         assert_bits_eq(par_gx.data(), seq_gx.data(), &format!("{what} argmax"));
+    }
+}
+
+#[test]
+fn lone_sample_conv_parallel_matches_sequential_bitwise() {
+    pin_threads();
+    // Batch 1 shares each sample's column slabs out between the pool:
+    // candidate 2's three C–P shapes
+    // (conv1's 100×100 map cuts into two slabs of 7264 columns), a wide
+    // image whose slabs split mid-row, and the border ring of a tile.
+    let mut rng = SeededRng::new(109);
+    let shapes = [
+        (4, 64, 3, (100, 100)),
+        (64, 128, 3, (50, 50)),
+        (128, 256, 3, (25, 25)),
+        (8, 16, 5, (12, 700)),
+    ];
+    for (c_in, c_out, k, (h, w)) in shapes {
+        let x = Tensor::randn([1, c_in, h, w], 0.0, 1.0, &mut rng);
+        let wt = Tensor::randn([c_out, c_in, k, k], 0.0, 0.1, &mut rng);
+        let b = Tensor::randn([c_out], 0.0, 0.1, &mut rng);
+        let what = format!("batch 1, {c_in}->{c_out} k{k} {h}x{w}");
+        let pad = k / 2;
+        let par = conv2d_relu(&x, &wt, &b, 1, pad);
+        let seq = rayon::force_sequential(|| conv2d_relu(&x, &wt, &b, 1, pad));
+        assert_bits_eq(par.data(), seq.data(), &format!("conv2d_relu {what}"));
+        let (par_p, par_ix) = conv2d_relu_pool_tracked(&x, &wt, &b, 1, pad);
+        let (seq_p, seq_ix) =
+            rayon::force_sequential(|| conv2d_relu_pool_tracked(&x, &wt, &b, 1, pad));
+        assert_bits_eq(par_p.data(), seq_p.data(), &format!("pool {what}"));
+        let untracked = conv2d_relu_pool(&x, &wt, &b, 1, pad);
+        assert_bits_eq(untracked.data(), seq_p.data(), &format!("untracked {what}"));
+        let go = Tensor::randn(par_p.shape().clone(), 0.0, 1.0, &mut rng);
+        let par_gx = max_pool2d_backward(&go, &par_ix);
+        let seq_gx = max_pool2d_backward(&go, &seq_ix);
+        assert_bits_eq(par_gx.data(), seq_gx.data(), &format!("argmax {what}"));
+        let ring: Vec<usize> = (0..h * w)
+            .filter(|p| p / w < 2 || p / w >= h - 2 || p % w < 2 || p % w >= w - 2)
+            .collect();
+        let par = conv2d_relu_at(&x, &wt, &b, (1, pad), &ring);
+        let seq = rayon::force_sequential(|| conv2d_relu_at(&x, &wt, &b, (1, pad), &ring));
+        assert_bits_eq(par.data(), seq.data(), &format!("conv2d_relu_at {what}"));
     }
 }
 

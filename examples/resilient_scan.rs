@@ -26,7 +26,7 @@ fn main() {
     let bands = dcd_geodata::render::render_bands(&ds.scene, 0.03, &mut SeededRng::new(9));
     let scan = ScanConfig::for_patch(48).with_batch_size(8).with_stride(24);
 
-    let baseline = scan_scene(&mut detector, &bands, &scan);
+    let baseline = scan_scene(&detector, &bands, &scan);
     println!("fault-free scan: {} detections", baseline.len());
 
     // 1. Transient launch failures → absorbed by retries.
@@ -37,7 +37,7 @@ fn main() {
             launch_failure_rate: 0.03,
             ..FaultPlan::none()
         });
-    let r = scan_scene_resilient(&mut detector, &bands, &scan, &sim).expect("retries absorb");
+    let r = scan_scene_resilient(&detector, &bands, &scan, &sim).expect("retries absorb");
     println!(
         "\n[transient faults]   {} detections (identical: {}), health: {:?}",
         r.detections.len(),
@@ -56,8 +56,7 @@ fn main() {
                 - (graph.weight_bytes() + graph.activation_bytes(20)),
             ..FaultPlan::none()
         });
-    let r =
-        scan_scene_resilient(&mut detector, &bands, &scan64, &sim).expect("degrades and completes");
+    let r = scan_scene_resilient(&detector, &bands, &scan64, &sim).expect("degrades and completes");
     println!(
         "[vram pressure]      batch 64 → {} ({} degradations), identical: {}, health: {:?}",
         r.batch,
@@ -75,7 +74,7 @@ fn main() {
         })
         .with_ios(dcd_ios::IosOptions::new().with_max_group_len(3))
         .with_retry(RetryPolicy::default());
-    let r = scan_scene_resilient(&mut detector, &bands, &scan, &sim).expect("fallback completes");
+    let r = scan_scene_resilient(&detector, &bands, &scan, &sim).expect("fallback completes");
     println!(
         "[wedged streams]     fell back: {}, identical: {}, health: {:?}",
         r.fell_back,

@@ -50,7 +50,7 @@ fn main() {
     // Batch 32 is the paper's optimal.
     let scan = ScanConfig::for_patch(64).with_batch_size(32);
     let t0 = std::time::Instant::now();
-    let detections = scan_scene(&mut detector, &bands, &scan);
+    let detections = scan_scene(&detector, &bands, &scan);
     let dt = t0.elapsed();
     println!(
         "\nscanned {}×{} cells in {:.1}s → {} crossing detections",

@@ -113,7 +113,7 @@ fn cmd_scan(args: &[String]) {
     let ds = dataset(seed);
     let bands = render_bands(&ds.scene, 0.03, &mut SeededRng::new(seed ^ 0xABCD));
     let scan = ScanConfig::for_patch(64).with_batch_size(32);
-    let dets = scan_scene(&mut detector, &bands, &scan);
+    let dets = scan_scene(&detector, &bands, &scan);
     println!("x,y,score");
     for d in &dets {
         println!("{},{},{:.3}", d.x, d.y, d.score);
@@ -148,7 +148,7 @@ fn host_workload() {
     detector.threshold = 0.9;
     let bands = render_bands(&ds.scene, 0.03, &mut SeededRng::new(5));
     let scan = ScanConfig::for_patch(48).with_batch_size(8).with_stride(24);
-    let _ = scan_scene(&mut detector, &bands, &scan);
+    let _ = scan_scene(&detector, &bands, &scan);
 }
 
 fn cmd_profile(args: &[String]) {

@@ -37,8 +37,8 @@ fn fixture() -> (DrainageCrossingDetector, Tensor, ScanConfig) {
 fn merged_report() -> ProfileReport {
     dcd_obs::drain_spans();
     dcd_obs::reset_metrics();
-    let (mut detector, bands, scan) = fixture();
-    let dets = scan_scene(&mut detector, &bands, &scan);
+    let (detector, bands, scan) = fixture();
+    let dets = scan_scene(&detector, &bands, &scan);
     assert!(!dets.is_empty(), "fixture produced no detections");
     let (_, trace) = profile_run(
         &SppNetConfig::tiny(),
@@ -153,8 +153,8 @@ fn scan_metrics_tick_and_render() {
     let _guard = OBS_LOCK.lock().unwrap();
     dcd_obs::drain_spans();
     dcd_obs::reset_metrics();
-    let (mut detector, bands, scan) = fixture();
-    let _ = scan_scene(&mut detector, &bands, &scan);
+    let (detector, bands, scan) = fixture();
+    let _ = scan_scene(&detector, &bands, &scan);
     let snap = dcd_obs::snapshot();
     let patches = snap.counter("scan.patches").expect("scan.patches counted");
     assert!(patches > 0);

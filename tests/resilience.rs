@@ -39,8 +39,8 @@ fn fixture() -> (DrainageCrossingDetector, Tensor, ScanConfig) {
 
 #[test]
 fn transient_launch_failures_retry_to_identical_detections() {
-    let (mut detector, bands, scan) = fixture();
-    let fault_free = scan_scene(&mut detector, &bands, &scan);
+    let (detector, bands, scan) = fixture();
+    let fault_free = scan_scene(&detector, &bands, &scan);
     assert!(!fault_free.is_empty(), "fixture produced no detections");
 
     let sim = SimScanConfig::new()
@@ -50,7 +50,7 @@ fn transient_launch_failures_retry_to_identical_detections() {
             launch_failure_rate: 0.03,
             ..FaultPlan::none()
         });
-    let report = scan_scene_resilient(&mut detector, &bands, &scan, &sim)
+    let report = scan_scene_resilient(&detector, &bands, &scan, &sim)
         .expect("retries absorb transient launch failures");
     assert_eq!(
         report.detections, fault_free,
@@ -72,8 +72,8 @@ fn transient_launch_failures_retry_to_identical_detections() {
 
 #[test]
 fn vram_pressure_degrades_batch_and_scan_completes() {
-    let (mut detector, bands, scan) = fixture();
-    let fault_free = scan_scene(&mut detector, &bands, &scan);
+    let (detector, bands, scan) = fixture();
+    let fault_free = scan_scene(&detector, &bands, &scan);
     let scan = scan.with_batch_size(64);
 
     // Leave usable VRAM for the weights plus ~20 batches' worth of
@@ -87,7 +87,7 @@ fn vram_pressure_degrades_batch_and_scan_completes() {
             vram_pressure_bytes: spec.mem_capacity - usable,
             ..FaultPlan::none()
         });
-    let report = scan_scene_resilient(&mut detector, &bands, &scan, &sim)
+    let report = scan_scene_resilient(&detector, &bands, &scan, &sim)
         .expect("degraded batch still completes");
     assert_eq!(report.batch, 16, "64 → 32 → 16 under this pressure");
     assert_eq!(report.health.degradations, 2);
@@ -102,8 +102,8 @@ fn vram_pressure_degrades_batch_and_scan_completes() {
 
 #[test]
 fn persistent_stream_failure_falls_back_to_sequential() {
-    let (mut detector, bands, scan) = fixture();
-    let fault_free = scan_scene(&mut detector, &bands, &scan);
+    let (detector, bands, scan) = fixture();
+    let fault_free = scan_scene(&detector, &bands, &scan);
 
     // Every stream except 0 refuses all launches: the IOS-optimized
     // multi-stream schedule can never finish an inference, the sequential
@@ -118,7 +118,7 @@ fn persistent_stream_failure_falls_back_to_sequential() {
             ..FaultPlan::none()
         })
         .with_ios(dcd_ios::IosOptions::new().with_max_group_len(3));
-    let report = scan_scene_resilient(&mut detector, &bands, &scan, &sim)
+    let report = scan_scene_resilient(&detector, &bands, &scan, &sim)
         .expect("sequential fallback completes the scan");
     assert!(report.fell_back, "scan must abandon the IOS schedule");
     assert_eq!(report.health.fallbacks, 1);
@@ -135,7 +135,7 @@ fn persistent_stream_failure_falls_back_to_sequential() {
 
 #[test]
 fn resilient_scan_is_deterministic_across_runs() {
-    let (mut detector, bands, scan) = fixture();
+    let (detector, bands, scan) = fixture();
     let sim = SimScanConfig::new()
         .with_device(DeviceSpec::test_gpu())
         .with_fault_plan(FaultPlan {
@@ -144,8 +144,8 @@ fn resilient_scan_is_deterministic_across_runs() {
             memcpy_failure_rate: 0.005,
             ..FaultPlan::none()
         });
-    let a = scan_scene_resilient(&mut detector, &bands, &scan, &sim).expect("completes");
-    let b = scan_scene_resilient(&mut detector, &bands, &scan, &sim).expect("completes");
+    let a = scan_scene_resilient(&detector, &bands, &scan, &sim).expect("completes");
+    let b = scan_scene_resilient(&detector, &bands, &scan, &sim).expect("completes");
     assert_eq!(a.detections, b.detections);
     assert_eq!(
         a.health, b.health,
