@@ -44,11 +44,14 @@ RAYON_NUM_THREADS=3 cargo test -q -p dcd-tensor --test parallel_equivalence
 
 # The shared conv trunk must reproduce the per-tile scan bit for bit
 # whatever the pool size: scene passes, ring convs and tile assembly all
-# split work between threads, and an odd pool splits it unevenly.
+# split work between threads, and an odd pool splits it unevenly. Resilient
+# scans run the same trunk, so their equivalence and fault suites run too.
 for threads in 1 3; do
     echo "== shared-trunk scan equivalence (RAYON_NUM_THREADS=$threads) =="
     RAYON_NUM_THREADS=$threads cargo test -q -p dcd-core --lib -- \
-        shared_trunk_matches_per_tile_scan_bitwise tile_maps_equal_the_per_tile_trunk_bitwise
+        shared_trunk_matches_per_tile_scan_bitwise tile_maps_equal_the_per_tile_trunk_bitwise \
+        resilient_scan_matches_plain_scan_under_transient_faults
+    RAYON_NUM_THREADS=$threads cargo test -q --test resilience
 done
 
 # The golden training pin must hold whatever the pool size: the conv
@@ -73,7 +76,7 @@ cargo bench --workspace --no-run
 echo "== parallel kernel microbenchmark -> BENCH_parallel.json =="
 cargo run --release -q -p dcd-bench --bin parallel
 
-echo "== packed-vs-legacy GEMM microbenchmark -> BENCH_gemm.json =="
+echo "== packed GEMM microbenchmark -> BENCH_gemm.json =="
 cargo run --release -q -p dcd-bench --bin gemm
 
 echo "== observability overhead microbenchmark -> BENCH_obs.json =="

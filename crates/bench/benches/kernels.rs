@@ -2,10 +2,7 @@
 //! of the from-scratch compute stack (GEMM, conv2d, pooling, SPP).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dcd_tensor::{
-    adaptive_max_pool2d, conv2d, gemm, gemm_legacy, gemm_packed, max_pool2d, Epilogue, PackedLhs,
-    SeededRng, Tensor, Trans,
-};
+use dcd_tensor::{adaptive_max_pool2d, conv2d, gemm, max_pool2d, SeededRng, Tensor};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
@@ -16,35 +13,6 @@ fn bench_gemm(c: &mut Criterion) {
         group.throughput(Throughput::Elements((2 * n * n * n) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, &n| {
             bench.iter(|| gemm(&a, &b, n, n, n));
-        });
-    }
-    group.finish();
-}
-
-/// The packed register-blocked kernel against the retained legacy axpy
-/// kernel, single-threaded, at the acceptance shapes of `dcd-bench --bin
-/// gemm` (which records the same comparison to `BENCH_gemm.json`).
-fn bench_packed_vs_legacy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("packed_vs_legacy");
-    let mut rng = SeededRng::new(7);
-    for &(name, m, k, n) in &[
-        ("gemm_256", 256usize, 256usize, 256usize),
-        ("conv2_shape", 128, 576, 2_500),
-    ] {
-        let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
-        group.throughput(Throughput::Elements((2 * m * k * n) as u64));
-        group.bench_function(BenchmarkId::new("packed", name), |bench| {
-            let mut out = vec![0.0f32; m * n];
-            bench.iter(|| {
-                rayon::force_sequential(|| {
-                    let pa = PackedLhs::pack(&a, Trans::No, m, k);
-                    gemm_packed(&pa, &b, Trans::No, &mut out, n, Epilogue::Store);
-                });
-            });
-        });
-        group.bench_function(BenchmarkId::new("legacy", name), |bench| {
-            bench.iter(|| rayon::force_sequential(|| gemm_legacy(&a, &b, m, k, n)));
         });
     }
     group.finish();
@@ -121,7 +89,6 @@ fn bench_parallel_vs_sequential(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gemm,
-    bench_packed_vs_legacy,
     bench_conv2d,
     bench_pooling,
     bench_parallel_vs_sequential

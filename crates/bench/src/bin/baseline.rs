@@ -31,12 +31,12 @@ fn main() {
     let mut rng = SeededRng::new(7);
     let mut sppnet = SppNet::new(cfg, &mut rng);
     Trainer::new(paper_train_config(effort)).train(&mut sppnet, &dataset.train);
-    let (spp_ap, _) = evaluate(&mut sppnet, &dataset.test, 0.5);
+    let (spp_ap, _) = evaluate(&sppnet, &dataset.test, 0.5);
 
     // Two-stage rcnn-lite.
     let mut bl_cfg = RcnnLiteConfig::for_patch(effort.patch_size());
     bl_cfg.train = paper_train_config(effort);
-    let mut baseline = RcnnLite::train(&dataset.train, bl_cfg, 7);
+    let baseline = RcnnLite::train(&dataset.train, bl_cfg, 7);
     let (bl_ap, _) = baseline.evaluate(&dataset.test, 0.3);
 
     // Mean IoU of baseline detections on positive patches (the §8.1 metric).

@@ -1,24 +1,19 @@
-//! Packed-vs-legacy GEMM microbenchmark at the SPP-Net layer shapes.
+//! Packed GEMM microbenchmark at the SPP-Net layer shapes.
 //!
-//! Compares the packed register-blocked kernel against the retained legacy
-//! axpy kernel (`gemm_legacy`) on the square 256³ problem and on the GEMMs
-//! behind conv1, conv2, conv3 and fc1 of the paper's architecture —
-//! conv1/conv2 at batch 1, 8 and 32, conv3 at 1 and 32, fc1 both for the
-//! original 5376→1024 config and for candidate 2's 7680→4096 layer (126 MB
-//! of weights), at the scan's batch of 32, its ragged last chunk of 9 and
-//! batch-1 queries.
+//! Times the packed register-blocked kernel on the square 256³ problem and
+//! on the GEMMs behind conv1, conv2, conv3 and fc1 of the paper's
+//! architecture — conv1/conv2 at batch 1, 8 and 32, conv3 at 1 and 32, fc1
+//! both for the original 5376→1024 config and for candidate 2's 7680→4096
+//! layer (126 MB of weights), at the scan's batch of 32, its ragged last
+//! chunk of 9 and batch-1 queries.
 //!
 //! Convolution rows time the whole `conv2d_relu` call on a 3×3, pad-1
-//! layer, so the packed columns include packing the weights and packing
-//! each slab of im2col columns straight from the input image. Their
-//! `legacy_ms` times `gemm_legacy` alone on pre-built im2col columns, so
-//! conv speedups understate the gain.
+//! layer, so they include packing the weights and packing each slab of
+//! im2col columns straight from the input image.
 //!
-//! `legacy_ms`, `packed_ms` and `speedup` are taken under
-//! `rayon::force_sequential`, so the speedups are single-thread kernel
-//! improvements, not parallelism. `packed_pool_ms` times the same packed
-//! call on the full pool (`threads` workers) for cross-referencing with
-//! `BENCH_parallel.json`.
+//! `packed_ms` is taken under `rayon::force_sequential`, a single-thread
+//! kernel time. `packed_pool_ms` times the same call on the full pool
+//! (`threads` workers) for cross-referencing with `BENCH_parallel.json`.
 //!
 //! Conv-block rows (`conv_blocks`) time a whole C–P unit of candidate 2 —
 //! conv1/2/3 at batch 1 and 32 — as the fused `conv2d_relu_pool` against
@@ -37,8 +32,8 @@
 
 use dcd_tensor::{
     conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
-    conv2d_relu_pool_tracked, gemm_into, gemm_legacy, max_pool2d, max_pool2d_backward, SeededRng,
-    Tensor,
+    conv2d_relu_pool_tracked, gemm_ep, max_pool2d, max_pool2d_backward, Epilogue, SeededRng,
+    Tensor, Trans,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -51,9 +46,7 @@ struct KernelTiming {
     k: usize,
     n: usize,
     batch: usize,
-    legacy_ms: f64,
     packed_ms: f64,
-    speedup: f64,
     packed_pool_ms: f64,
 }
 
@@ -131,13 +124,11 @@ fn best_ms(f: impl FnMut()) -> f64 {
 fn report(
     name: &str,
     (m, k, n, batch): (usize, usize, usize, usize),
-    legacy_ms: f64,
     packed_ms: f64,
     packed_pool_ms: f64,
 ) -> KernelTiming {
     println!(
-        "{name:18} m={m:5} k={k:5} n={n:6} b={batch:2}   legacy {legacy_ms:9.2} ms   packed {packed_ms:9.2} ms   speedup {:.2}x   pool {packed_pool_ms:9.2} ms",
-        legacy_ms / packed_ms
+        "{name:18} m={m:5} k={k:5} n={n:6} b={batch:2}   packed {packed_ms:9.2} ms   pool {packed_pool_ms:9.2} ms"
     );
     KernelTiming {
         name: name.to_string(),
@@ -145,35 +136,40 @@ fn report(
         k,
         n,
         batch,
-        legacy_ms,
         packed_ms,
-        speedup: legacy_ms / packed_ms,
         packed_pool_ms,
     }
 }
 
 /// Times one `m×k·k×n` product through the public entry point (which
-/// routes skinny products to the thin axpy path), packed vs legacy.
+/// routes skinny products to the thin axpy path).
 fn time_gemm(name: &str, m: usize, k: usize, n: usize) -> KernelTiming {
     let mut rng = SeededRng::new(0xD00D ^ (m * 31 + k * 7 + n) as u64);
     let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
     let mut c = vec![0.0f32; m * n];
     let mut packed = || {
-        gemm_into(&a, &b, &mut c, m, k, n);
+        gemm_ep(
+            &a,
+            Trans::No,
+            &b,
+            Trans::No,
+            &mut c,
+            m,
+            k,
+            n,
+            Epilogue::Store,
+        );
         std::hint::black_box(&mut c);
     };
     let packed_ms = best_ms(&mut packed);
     let packed_pool_ms = best_pool_ms(&mut packed);
-    let legacy_ms = best_ms(|| {
-        std::hint::black_box(gemm_legacy(&a, &b, m, k, n));
-    });
-    report(name, (m, k, n, 1), legacy_ms, packed_ms, packed_pool_ms)
+    report(name, (m, k, n, 1), packed_ms, packed_pool_ms)
 }
 
 /// Times a 3×3, pad-1 `conv2d_relu` layer of `c_out` filters over a batch
 /// of `c_in`-channel `hw×hw` inputs (GEMM `c_out × 9·c_in × hw²` per
-/// sample), against `gemm_legacy` on pre-built im2col columns.
+/// sample).
 fn time_conv(name: &str, c_in: usize, hw: usize, c_out: usize, batch: usize) -> KernelTiming {
     let (m, k, n) = (c_out, 9 * c_in, hw * hw);
     let mut rng = SeededRng::new(0xD00D ^ (m * 31 + k * 7 + n) as u64);
@@ -185,15 +181,7 @@ fn time_conv(name: &str, c_in: usize, hw: usize, c_out: usize, batch: usize) -> 
     };
     let packed_ms = best_ms(&mut packed);
     let packed_pool_ms = best_pool_ms(&mut packed);
-    let cols: Vec<Vec<f32>> = (0..batch)
-        .map(|_| (0..k * n).map(|_| rng.normal()).collect())
-        .collect();
-    let legacy_ms = best_ms(|| {
-        for b in &cols {
-            std::hint::black_box(gemm_legacy(w.data(), b, m, k, n));
-        }
-    });
-    report(name, (m, k, n, batch), legacy_ms, packed_ms, packed_pool_ms)
+    report(name, (m, k, n, batch), packed_ms, packed_pool_ms)
 }
 
 /// Times one 3×3, pad-1 C–P block of `c_out` filters over a batch of

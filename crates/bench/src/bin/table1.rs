@@ -50,7 +50,7 @@ fn main() {
             // the training data, which hurts more than selection helps at
             // this dataset size.
             let history = trainer.train(&mut model, &dataset.train);
-            let (ap, _) = evaluate(&mut model, &dataset.test, 0.5);
+            let (ap, _) = evaluate(&model, &dataset.test, 0.5);
             last_loss = history.last().map(|h| h.loss).unwrap_or(f32::NAN);
             eprintln!("  trained {name} (seed {seed}): AP {ap:.4}");
             aps.push(ap);

@@ -122,7 +122,7 @@ impl RcnnLite {
 
     /// Detects the crossing in a `[C, H, W]` patch: scores every proposal
     /// window, returns the best as a detection in patch coordinates.
-    pub fn detect(&mut self, image: &Tensor) -> Detection {
+    pub fn detect(&self, image: &Tensor) -> Detection {
         let dims = image.dims();
         let (h, w) = (dims[1], dims[2]);
         let g = self.config.grid;
@@ -180,7 +180,7 @@ impl RcnnLite {
     }
 
     /// Evaluates AP over labelled patches at an IoU threshold.
-    pub fn evaluate(&mut self, samples: &[Sample], iou_threshold: f32) -> (f32, Vec<PrPoint>) {
+    pub fn evaluate(&self, samples: &[Sample], iou_threshold: f32) -> (f32, Vec<PrPoint>) {
         let preds: Vec<(f32, BBox)> = samples
             .iter()
             .map(|s| {
@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn detect_returns_in_bounds_box() {
-        let mut baseline = RcnnLite::train(&toy_samples(8, 2, 32), quick_config(), 0);
+        let baseline = RcnnLite::train(&toy_samples(8, 2, 32), quick_config(), 0);
         let img = toy_samples(1, 3, 32).remove(0).image;
         let d = baseline.detect(&img);
         assert!((0.0..=1.0).contains(&d.bbox.cx));
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn baseline_beats_chance_on_separable_toy_data() {
-        let mut baseline = RcnnLite::train(&toy_samples(24, 4, 32), quick_config(), 0);
+        let baseline = RcnnLite::train(&toy_samples(24, 4, 32), quick_config(), 0);
         // Lenient IoU — the proposal grid quantizes locations.
         let (ap, _) = baseline.evaluate(&toy_samples(12, 5, 32), 0.05);
         assert!(ap > 0.5, "baseline AP {ap}");

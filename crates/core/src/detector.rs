@@ -92,8 +92,8 @@ impl DrainageCrossingDetector {
     }
 
     /// Test-set AP at an IoU threshold (paper metric, Eq. 1).
-    pub fn average_precision(&mut self, samples: &[Sample], iou_threshold: f32) -> f32 {
-        evaluate_batched(&mut self.model, samples, iou_threshold, 20).0
+    pub fn average_precision(&self, samples: &[Sample], iou_threshold: f32) -> f32 {
+        evaluate_batched(&self.model, samples, iou_threshold, 20).0
     }
 
     /// Mutable access to the underlying model (fine-tuning, lowering).
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn average_precision_in_unit_range() {
-        let mut det = quick_train();
+        let det = quick_train();
         let ap = det.average_precision(&toy_samples(8, 4), 0.1);
         assert!((0.0..=1.0).contains(&ap));
     }

@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 /// Pipeline parameters.
 ///
 /// Non-exhaustive: construct with [`PipelineConfig::new`] (or `default()`)
-/// and refine with the `with_*` methods, so new knobs (like the `obs`
-/// toggle) stop being breaking changes.
+/// and refine with the `with_*` methods, so new knobs stop being breaking
+/// changes.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -43,10 +43,6 @@ pub struct PipelineConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Retry policy used when `fault_plan` is set.
     pub retry: RetryPolicy,
-    /// Enable host observability (`dcd-obs` spans/metrics) for the run.
-    /// One-way: running with `obs = true` turns recording on process-wide
-    /// and leaves it on for the caller to drain.
-    pub obs: bool,
 }
 
 impl PipelineConfig {
@@ -64,7 +60,6 @@ impl PipelineConfig {
             iterations: 5,
             fault_plan: None,
             retry: RetryPolicy::default(),
-            obs: false,
         }
     }
 
@@ -125,12 +120,6 @@ impl PipelineConfig {
     /// Sets the retry policy used when a fault plan is set.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Enables host observability for the run.
-    pub fn with_obs(mut self, obs: bool) -> Self {
-        self.obs = obs;
         self
     }
 }
@@ -344,9 +333,6 @@ impl Pipeline {
         strategy: &mut dyn ExplorationStrategy,
         evaluator: &dyn Evaluator,
     ) -> PipelineResult {
-        if self.config.obs {
-            dcd_obs::set_enabled(true);
-        }
         let _span = dcd_obs::span("pipeline.run", dcd_obs::Category::Pipeline);
         let experiment = Experiment::run(strategy, evaluator, self.config.max_trials);
         let survivors = experiment.candidates_above(self.config.accuracy_threshold);

@@ -7,10 +7,15 @@
 //! them through the CNN (at the batch size the pipeline selected), mapping
 //! detections back to raster coordinates, and de-duplicating with
 //! non-maximum suppression.
+//!
+//! Every scan, plain or resilient, runs its tiles through one chunk route
+//! (`scan_chunk`): the shared trunk (`scan/trunk.rs`) writes a chunk's
+//! input to the rest of the network — after the conv levels overlapping
+//! tiles share, or the normalized tiles themselves when they share none —
+//! and the detector runs the remaining blocks on it.
 
 use crate::detector::DrainageCrossingDetector;
 use crate::resilience::{ResilientRunner, RetryPolicy, RunHealth};
-use dcd_geodata::render::clip_patch_into;
 use dcd_gpusim::{DeviceSpec, FaultPlan, Gpu, GpuError};
 use dcd_ios::{
     ios_schedule, lower_sppnet, sequential_schedule, ExecError, IosOptions, StageCostModel,
@@ -18,9 +23,7 @@ use dcd_ios::{
 use dcd_nn::metrics::iou;
 use dcd_nn::{BBox, Detection};
 use dcd_tensor::Tensor;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use trunk::SharedTrunk;
 
 mod trunk;
@@ -54,8 +57,11 @@ impl SceneDetection {
 /// Scan parameters.
 ///
 /// Non-exhaustive: construct with [`ScanConfig::for_patch`] and refine with
-/// the `with_*` methods, so new fields (like the `obs` toggle) stop being
-/// breaking changes.
+/// the `with_*` methods, so new fields stop being breaking changes.
+///
+/// Each tile is normalized as the dataset is (reflectance to `[-1, 1]`),
+/// and the scan records `dcd-obs` spans and metrics only while recording
+/// is on ([`dcd_obs::set_enabled`]).
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy)]
 pub struct ScanConfig {
@@ -77,18 +83,11 @@ pub struct ScanConfig {
     /// distance of a stronger one are dropped (crossings are point features;
     /// box IoU alone under-suppresses duplicate chains along roads).
     pub nms_radius: usize,
-    /// Input normalization applied to each clipped patch (the dataset
-    /// normalizes reflectance to `[-1, 1]`; scanning must match).
-    pub normalize: bool,
-    /// Enable host observability (`dcd-obs` spans/metrics) for the scan.
-    /// One-way: scanning with `obs = true` turns recording on process-wide
-    /// and leaves it on for the caller to drain.
-    pub obs: bool,
 }
 
 impl ScanConfig {
     /// Defaults for a given patch size: eighth-patch stride, batch 32 (the
-    /// paper's optimal), NMS at IoU 0.3, observability off.
+    /// paper's optimal), NMS at IoU 0.3.
     pub fn for_patch(patch_size: usize) -> Self {
         ScanConfig {
             patch_size,
@@ -96,8 +95,6 @@ impl ScanConfig {
             batch_size: 32,
             nms_iou: 0.3,
             nms_radius: (patch_size / 6).max(2),
-            normalize: true,
-            obs: false,
         }
     }
 
@@ -122,18 +119,6 @@ impl ScanConfig {
     /// Sets the point-suppression radius.
     pub fn with_nms_radius(mut self, nms_radius: usize) -> Self {
         self.nms_radius = nms_radius;
-        self
-    }
-
-    /// Sets patch normalization.
-    pub fn with_normalize(mut self, normalize: bool) -> Self {
-        self.normalize = normalize;
-        self
-    }
-
-    /// Enables host observability for the scan.
-    pub fn with_obs(mut self, obs: bool) -> Self {
-        self.obs = obs;
         self
     }
 }
@@ -205,16 +190,6 @@ fn tile_centers(w: usize, h: usize, config: &ScanConfig) -> Vec<(usize, usize)> 
     centers
 }
 
-/// Clips the tile centred at `(cx, cy)` into `dst` (`[bands, patch,
-/// patch]`, every element written) and normalizes it as configured: what
-/// the network sees of a tile.
-fn clip_tile(bands: &Tensor, (cx, cy): (usize, usize), config: &ScanConfig, dst: &mut [f32]) {
-    clip_patch_into(bands, cx, cy, config.patch_size, dst);
-    if config.normalize {
-        normalize(dst);
-    }
-}
-
 /// The dataset's reflectance normalization to `[-1, 1]`, pixel by pixel.
 fn normalize(values: &mut [f32]) {
     for v in values {
@@ -222,31 +197,22 @@ fn normalize(values: &mut [f32]) {
     }
 }
 
-/// Runs one chunk of tiles through the whole network: each patch clips and
-/// normalizes straight into its slot of `batch_buf` (in parallel across
-/// tiles), the buffer is loaned to a batch tensor for inference, then
-/// reclaimed — so a scan allocates its batch storage once, not per chunk.
-fn detect_chunk(
+/// Runs one chunk of tiles through the detector: the trunk writes the
+/// chunk's input to the rest of the network into `buf`, which is loaned to
+/// a batch tensor for inference and then reclaimed, so a scan allocates its
+/// batch storage once, not per chunk.
+fn chunk_detections(
     detector: &DrainageCrossingDetector,
-    bands: &Tensor,
+    trunk: &mut SharedTrunk,
     chunk: &[(usize, usize)],
-    config: &ScanConfig,
-    batch_buf: &mut Vec<f32>,
+    buf: &mut Vec<f32>,
 ) -> Vec<Option<Detection>> {
-    let nb = bands.dims()[0];
-    let sample = nb * config.patch_size * config.patch_size;
-    batch_buf.resize(chunk.len() * sample, 0.0);
-    batch_buf
-        .par_chunks_mut(sample)
-        .zip(chunk.par_iter())
-        .for_each(|(dst, &c)| clip_tile(bands, c, config, dst));
-    let x = Tensor::from_vec(
-        [chunk.len(), nb, config.patch_size, config.patch_size],
-        std::mem::take(batch_buf),
-    )
-    .expect("scan batch tensor");
-    let dets = detector.detect_tensor(&x);
-    *batch_buf = x.into_vec();
+    let [c, h, w] = trunk.tile_dims();
+    buf.resize(chunk.len() * c * h * w, 0.0);
+    trunk.tile_maps(chunk, buf);
+    let x = Tensor::from_vec([chunk.len(), c, h, w], std::mem::take(buf)).expect("scan tile maps");
+    let dets = detector.detect_from_block(trunk.tail_block(), &x);
+    *buf = x.into_vec();
     dets
 }
 
@@ -278,48 +244,21 @@ fn push_detections(
     }
 }
 
-/// Runs every tile centred at `centers` through the detector in chunks of
-/// the batch size, handing each chunk and its per-tile detections to
-/// `sink`. With `shared` levels (see `trunk::shared_levels`) the first
-/// conv levels run once over the scene and each chunk enters the network
-/// after them; otherwise every tile runs the whole network. Either way
-/// the detections are the same, bit for bit.
-fn scan_chunks(
+/// One chunk of a scan, in scan order after every earlier chunk: its
+/// tiles' detections, mapped to raster coordinates and appended to `raw`.
+fn scan_chunk(
     detector: &DrainageCrossingDetector,
-    bands: &Tensor,
+    trunk: &mut SharedTrunk,
+    chunk: &[(usize, usize)],
     config: &ScanConfig,
-    centers: &[(usize, usize)],
-    shared: Option<usize>,
-    mut sink: impl FnMut(&[(usize, usize)], Vec<Option<Detection>>),
+    hw: (usize, usize),
+    buf: &mut Vec<f32>,
+    raw: &mut Vec<SceneDetection>,
 ) {
-    let batch = config.batch_size.max(1);
-    let mut buf: Vec<f32> = Vec::new();
-    let Some(levels) = shared else {
-        for chunk in centers.chunks(batch) {
-            let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
-            dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
-            sink(
-                chunk,
-                detect_chunk(detector, bands, chunk, config, &mut buf),
-            );
-        }
-        return;
-    };
-    let mut trunk = SharedTrunk::new(detector.model(), bands, config, levels, centers);
-    let dims = trunk.tile_dims();
-    let per_tile: usize = dims.iter().product();
-    for chunk in centers.chunks(batch) {
-        let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
-        dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
-        buf.resize(chunk.len() * per_tile, 0.0);
-        trunk.tile_maps(chunk, &mut buf);
-        let [c, th, tw] = dims;
-        let x = Tensor::from_vec([chunk.len(), c, th, tw], std::mem::take(&mut buf))
-            .expect("scan tile maps");
-        let dets = detector.detect_from_block(trunk.tail_block(), &x);
-        buf = x.into_vec();
-        sink(chunk, dets);
-    }
+    let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
+    dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
+    let dets = chunk_detections(detector, trunk, chunk, buf);
+    push_detections(dets, chunk, config, hw, raw);
 }
 
 /// Scans a rendered scene (`[bands, H, W]` tensor) with the detector.
@@ -329,25 +268,32 @@ fn scan_chunks(
 ///
 /// When tiles overlap at an even stride, the first conv levels run once
 /// over the scene and each tile recomputes only the border ring its own
-/// zero padding changes (see `scan/trunk.rs`); the detections are bit-identical
-/// to running every tile through the whole network, which any other
-/// stride does. Panics on a zero stride or a scene smaller than a patch.
+/// zero padding changes (see `scan/trunk.rs`); at any other stride each
+/// tile runs the whole network. Either way the detections are
+/// bit-identical to running every tile alone. Panics on a zero stride or a
+/// scene smaller than a patch.
 pub fn scan_scene(
     detector: &DrainageCrossingDetector,
     bands: &Tensor,
     config: &ScanConfig,
 ) -> Vec<SceneDetection> {
-    if config.obs {
-        dcd_obs::set_enabled(true);
-    }
     let _span = dcd_obs::span("scan.scene", dcd_obs::Category::Scan);
     let (h, w) = scene_dims(bands, config);
     let centers = tile_centers(w, h, config);
-    let shared = trunk::shared_levels(detector.model(), config.patch_size, config.stride);
-    let mut raw: Vec<SceneDetection> = Vec::new();
-    scan_chunks(detector, bands, config, &centers, shared, |chunk, dets| {
-        push_detections(dets, chunk, config, (h, w), &mut raw)
-    });
+    let batch = config.batch_size.max(1);
+    let mut trunk = SharedTrunk::new(detector.model(), bands, config, &centers, batch);
+    let (mut buf, mut raw) = (Vec::new(), Vec::new());
+    for chunk in centers.chunks(batch) {
+        scan_chunk(
+            detector,
+            &mut trunk,
+            chunk,
+            config,
+            (h, w),
+            &mut buf,
+            &mut raw,
+        );
+    }
     let kept = nms(raw, w, h, config.nms_iou);
     suppress_within_radius(kept, config.nms_radius)
 }
@@ -462,22 +408,20 @@ impl std::error::Error for ScanError {}
 ///
 /// Each chunk of tiles is "shipped" through one simulated inference before
 /// its patches are scored, so injected faults gate progress: transient
-/// failures are retried (with simulated backoff), VRAM pressure halves the
-/// batch until the allocation fits, hangs are reset via watchdog, and a
-/// schedule that keeps failing is swapped for the sequential baseline.
-/// Because every tile is re-enqueued until its inference succeeds, the
-/// detections are identical to a fault-free [`scan_scene`] whenever the scan
-/// completes. Each tile runs the whole network (degraded batches re-chunk
-/// the tiles freely), and a zero stride panics.
+/// failures are retried (with simulated backoff), hangs are reset via
+/// watchdog, and a schedule that keeps failing is swapped for the
+/// sequential baseline. VRAM pressure at setup halves the batch until the
+/// allocation fits; the scan then chunks its tiles at that batch. A chunk
+/// is scored only once its inference succeeds, through the same chunk
+/// route and shared trunk as [`scan_scene`], so the detections are
+/// identical to a fault-free [`scan_scene`] whenever the scan completes. A
+/// zero stride panics.
 pub fn scan_scene_resilient(
     detector: &DrainageCrossingDetector,
     bands: &Tensor,
     config: &ScanConfig,
     sim: &SimScanConfig,
 ) -> Result<ResilientScanReport, ScanError> {
-    if config.obs {
-        dcd_obs::set_enabled(true);
-    }
     let _span = dcd_obs::span("scan.scene", dcd_obs::Category::Scan);
     let (h, w) = scene_dims(bands, config);
     let centers = tile_centers(w, h, config);
@@ -494,21 +438,12 @@ pub fn scan_scene_resilient(
         ResilientRunner::new(&graph, optimized, fallback, target_batch, gpu, sim.retry)
             .map_err(ScanError::Setup)?;
 
-    // Work queue of tile centres; each iteration takes at most the *current*
-    // batch, so a degraded batch automatically re-chunks the remaining work.
-    let mut queue: VecDeque<(usize, usize)> = centers.into();
-    let mut raw: Vec<SceneDetection> = Vec::new();
-    let mut batch_buf: Vec<f32> = Vec::new();
+    // The runner settles its batch at setup, so the chunks are fixed.
+    let batch = runner.batch();
+    let mut trunk = SharedTrunk::new(detector.model(), bands, config, &centers, batch);
+    let (mut buf, mut raw) = (Vec::new(), Vec::new());
     let mut sim_ns = 0u64;
-    let mut chunk: Vec<(usize, usize)> = Vec::new();
-    while !queue.is_empty() {
-        chunk.clear();
-        while chunk.len() < runner.batch() {
-            match queue.pop_front() {
-                Some(c) => chunk.push(c),
-                None => break,
-            }
-        }
+    for chunk in centers.chunks(batch) {
         match runner.run() {
             Ok(ns) => sim_ns += ns,
             Err(last) => {
@@ -518,16 +453,21 @@ pub fn scan_scene_resilient(
                 })
             }
         }
-        let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
-        dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
-        let dets = detect_chunk(detector, bands, &chunk, config, &mut batch_buf);
-        push_detections(dets, &chunk, config, (h, w), &mut raw);
+        scan_chunk(
+            detector,
+            &mut trunk,
+            chunk,
+            config,
+            (h, w),
+            &mut buf,
+            &mut raw,
+        );
     }
     let kept = nms(raw, w, h, config.nms_iou);
     Ok(ResilientScanReport {
         detections: suppress_within_radius(kept, config.nms_radius),
         health: runner.health,
-        batch: runner.batch(),
+        batch,
         fell_back: runner.fell_back(),
         sim_ns,
     })
@@ -777,22 +717,49 @@ mod tests {
         assert!(report.sim_ns > 0);
     }
 
-    /// Every tile's detection, in scan order, through the shared trunk
-    /// (when `shared`) or through the whole network per tile.
+    /// Every tile's detection, in scan order, through the scan's chunk
+    /// route.
     fn tile_detections(
         detector: &DrainageCrossingDetector,
         bands: &Tensor,
         config: &ScanConfig,
-        shared: Option<usize>,
     ) -> Vec<Detection> {
         let (h, w) = scene_dims(bands, config);
         let centers = tile_centers(w, h, config);
-        let mut all = Vec::new();
-        scan_chunks(detector, bands, config, &centers, shared, |chunk, dets| {
-            assert_eq!(dets.len(), chunk.len());
-            all.extend(dets.into_iter().map(|d| d.expect("threshold is -inf")));
-        });
-        all
+        let batch = config.batch_size;
+        let mut trunk = SharedTrunk::new(detector.model(), bands, config, &centers, batch);
+        let mut buf = Vec::new();
+        centers
+            .chunks(batch)
+            .flat_map(|chunk| chunk_detections(detector, &mut trunk, chunk, &mut buf))
+            .map(|d| d.expect("threshold is -inf"))
+            .collect()
+    }
+
+    /// The reference for [`tile_detections`], built without the trunk:
+    /// every tile clipped from the raster, normalized and run through the
+    /// whole network, a batch of tiles at a time.
+    fn per_tile_detections(
+        detector: &DrainageCrossingDetector,
+        bands: &Tensor,
+        config: &ScanConfig,
+        centers: &[(usize, usize)],
+    ) -> Vec<Detection> {
+        let (nb, p) = (bands.dims()[0], config.patch_size);
+        let per = nb * p * p;
+        centers
+            .chunks(config.batch_size)
+            .flat_map(|chunk| {
+                let mut x = vec![0.0f32; chunk.len() * per];
+                for (dst, &(cx, cy)) in x.chunks_mut(per).zip(chunk) {
+                    dcd_geodata::render::clip_patch_into(bands, cx, cy, p, dst);
+                    dst.iter_mut().for_each(|v| *v = (*v - 0.5) * 2.0);
+                }
+                let x = Tensor::from_vec([chunk.len(), nb, p, p], x).unwrap();
+                detector.detect_tensor(&x)
+            })
+            .map(|d| d.expect("threshold is -inf"))
+            .collect()
     }
 
     /// A 4-band untrained detector with the given conv1 kernel, firing on
@@ -811,7 +778,7 @@ mod tests {
     #[test]
     fn shared_trunk_matches_per_tile_scan_bitwise() {
         // Strides sharing 2 levels (2, 6, 10) and 3 (8, 12), an odd
-        // stride and strides at or past the patch (both per tile), every
+        // stride and strides at or past the patch (sharing none), every
         // conv1 kernel of the search space, on a 71×58 raster that no
         // stride divides. Batch 5 leaves ragged last chunks and tile rows
         // split across chunks, some into one-tile groups.
@@ -822,10 +789,14 @@ mod tests {
                 let config = ScanConfig::for_patch(24)
                     .with_stride(stride)
                     .with_batch_size(5);
-                let shared = trunk::shared_levels(detector.model(), 24, stride);
-                assert_eq!(shared.is_some(), stride.is_multiple_of(2) && stride < 24);
-                let got = tile_detections(&detector, &bands, &config, shared);
-                let want = tile_detections(&detector, &bands, &config, None);
+                let levels = trunk::shared_levels(detector.model(), 24, stride);
+                assert_eq!(levels > 0, stride.is_multiple_of(2) && stride < 24);
+                let (h, w) = scene_dims(&bands, &config);
+                let centers = tile_centers(w, h, &config);
+                let got = tile_detections(&detector, &bands, &config);
+                let want = rayon::force_sequential(|| {
+                    per_tile_detections(&detector, &bands, &config, &centers)
+                });
                 assert_eq!(got.len(), want.len());
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                     let bits = |d: &Detection| {
@@ -834,15 +805,11 @@ mod tests {
                     assert_eq!(bits(g), bits(w), "k={kernel} stride={stride} tile {i}");
                 }
                 // And the whole scan, suppression included.
-                let plain = rayon::force_sequential(|| {
-                    let (h, w) = scene_dims(&bands, &config);
-                    let mut raw = Vec::new();
-                    let centers = tile_centers(w, h, &config);
-                    scan_chunks(&detector, &bands, &config, &centers, None, |c, d| {
-                        push_detections(d, c, &config, (h, w), &mut raw)
-                    });
-                    suppress_within_radius(nms(raw, w, h, config.nms_iou), config.nms_radius)
-                });
+                let mut raw = Vec::new();
+                let want = want.into_iter().map(Some).collect();
+                push_detections(want, &centers, &config, (h, w), &mut raw);
+                let plain =
+                    suppress_within_radius(nms(raw, w, h, config.nms_iou), config.nms_radius);
                 assert_eq!(scan_scene(&detector, &bands, &config), plain);
             }
         }

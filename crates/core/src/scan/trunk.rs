@@ -1,11 +1,12 @@
-//! The exact shared conv trunk behind [`super::scan_scene`].
+//! The exact shared conv trunk: how every scan, plain or resilient, builds
+//! a chunk's network input.
 //!
 //! Overlapping tiles see the same raster pixels, so their convolutions
 //! mostly compute the same values. This module computes each shareable
 //! C–P level once over the scanned region, in row bands, and builds every
 //! tile's feature maps from those scene-wide maps plus a recomputed border
-//! ring. The rest of the network then runs per chunk of tiles as before,
-//! and the detections are bit-identical to running every tile alone.
+//! ring. The rest of the network then runs per chunk of tiles, and the
+//! detections are bit-identical to running every tile alone.
 //!
 //! **Which levels share.** Tile origins are `k·stride`. A tile's level-ℓ
 //! map (ℓ = 1, 2, 3) lines up with the scene's when its origin is a
@@ -14,7 +15,9 @@
 //! conv3 shares too. Every shared level but the last keeps its pooled map
 //! across the scene. The last keeps its activation, which each tile pools
 //! at its own phase. The unshared levels run per tile, after the shared
-//! ones.
+//! ones. Odd strides, strides of a patch or more and even conv1 kernels
+//! share no level: each tile's input is then its normalized raster window,
+//! written by the same code that writes a level-0 ring input.
 //!
 //! **The ring.** A tile's map differs from the scene's only in a border
 //! band, where the tile's zero padding replaces real neighbours. The
@@ -38,7 +41,7 @@
 //! border the scene pass keeps around its region; ring outputs read the
 //! tile's own zero padding. Pools take the same four values in the same
 //! order through the same kernel. Normalization is per pixel, so the
-//! scene pass normalizes as it reads the raster, as the tile clip does.
+//! scene pass and the ring inputs normalize as they read the raster.
 //!
 //! **Memory and scratch.** The scene-wide maps live in plain `Vec`s that
 //! hold only the rows the current chunk's tiles, and the next band pass,
@@ -55,18 +58,21 @@ use dcd_tensor::{
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// How many of `model`'s C–P levels tiles at `stride` share, or `None`
-/// when every tile should run through the whole network alone: the tiles
-/// must overlap and their origins must sit on the 2×2 pool grid (an even
+/// How many of `model`'s C–P levels tiles at `stride` share: none unless
+/// the tiles overlap and their origins sit on the 2×2 pool grid (an even
 /// stride). Every shared level's tile map must pool to at least one pixel,
 /// and its convolution must keep the map's size (an odd kernel).
-pub(super) fn shared_levels(model: &SppNet, patch: usize, stride: usize) -> Option<usize> {
+pub(super) fn shared_levels(model: &SppNet, patch: usize, stride: usize) -> usize {
     if stride == 0 || stride >= patch || !stride.is_multiple_of(2) {
-        return None;
+        return 0;
     }
     let levels = CONV_BLOCKS.min(1 + stride.trailing_zeros() as usize);
     let same = (0..levels).all(|l| model.block_geometry(l).kernel % 2 == 1);
-    (same && patch >> (levels - 1) >= 2).then_some(levels)
+    if same && patch >> (levels - 1) >= 2 {
+        levels
+    } else {
+        0
+    }
 }
 
 /// A window of a tile's input map that a ring input holds: its rows and
@@ -303,11 +309,6 @@ impl Level {
         self.extent.0 / self.scale()
     }
 
-    /// Floats of one tile's pooled map, `[C_out, side/2, side/2]`.
-    fn tile_out(&self) -> usize {
-        self.geom.c_out * (self.side / 2).pow(2)
-    }
-
     /// Writes the window `rows × cols` of one tile's pooled map into `dst`
     /// at `to` (the window's top-left corner there): the clean square from
     /// the kept map, for the tile whose input map starts at `(y, x)` of
@@ -382,21 +383,25 @@ pub(super) struct SharedTrunk<'a> {
     raster: &'a Tensor,
     config: &'a ScanConfig,
     levels: Vec<Level>,
+    /// Shape `[C, H, W]` of one tile's input to the rest of the network.
+    tile_dims: [usize; 3],
     /// Spare buffers for scene-pass halos and ring inputs, whose every
     /// element each use overwrites.
     spare: Vec<Vec<f32>>,
 }
 
 impl<'a> SharedTrunk<'a> {
-    /// The first `levels` C–P levels of `model`, shared across the tiles
-    /// centred at `centers` (in scan order) on `raster`.
+    /// The C–P levels of `model` that the tiles centred at `centers` (in
+    /// scan order) on `raster` share ([`shared_levels`], possibly none),
+    /// for a scan that asks for their maps `batch` tiles at a time.
     pub(super) fn new(
         model: &'a SppNet,
         raster: &'a Tensor,
         config: &'a ScanConfig,
-        levels: usize,
         centers: &[(usize, usize)],
+        batch: usize,
     ) -> Self {
+        let levels = shared_levels(model, config.patch_size, config.stride);
         let half = config.patch_size / 2;
         let last = centers.last().expect("a scan has tiles");
         let mut extent = (
@@ -404,11 +409,11 @@ impl<'a> SharedTrunk<'a> {
             last.0 - half + config.patch_size,
         );
         let mut side = config.patch_size;
+        let mut channels = raster.dims()[0];
         let mut band = (0, 0);
         // The most tile rows one chunk reaches.
         let row_tiles = centers.iter().take_while(|c| c.1 == centers[0].1).count();
-        let span =
-            (config.batch_size.max(1).div_ceil(row_tiles) + 1).min(centers.len() / row_tiles);
+        let span = (batch.max(1).div_ceil(row_tiles) + 1).min(centers.len() / row_tiles);
         let levels = (0..levels)
             .map(|l| {
                 let geom = model.block_geometry(l);
@@ -447,6 +452,7 @@ impl<'a> SharedTrunk<'a> {
                     ring,
                 };
                 band = level.ring.band;
+                channels = geom.c_out;
                 side /= 2;
                 extent = (extent.0 / 2, extent.1 / 2);
                 level
@@ -457,6 +463,7 @@ impl<'a> SharedTrunk<'a> {
             raster,
             config,
             levels,
+            tile_dims: [channels, side, side],
             spare: Vec::new(),
         }
     }
@@ -468,13 +475,14 @@ impl<'a> SharedTrunk<'a> {
 
     /// Shape `[C, H, W]` of one tile's input to the rest of the network.
     pub(super) fn tile_dims(&self) -> [usize; 3] {
-        let last = self.levels.last().expect("at least one shared level");
-        [last.geom.c_out, last.side / 2, last.side / 2]
+        self.tile_dims
     }
 
     /// Writes the input to the rest of the network, `[N, C, H, W]`
     /// ([`SharedTrunk::tile_dims`]), of the tiles centred at `centers` —
-    /// a chunk in scan order, after every earlier chunk — into `out`.
+    /// a chunk in scan order, after every earlier chunk — into `out`: each
+    /// tile's whole input map at the first unshared level, which is its
+    /// normalized raster window when no level is shared.
     pub(super) fn tile_maps(&mut self, centers: &[(usize, usize)], out: &mut [f32]) {
         let half = self.config.patch_size / 2;
         let origins: Vec<(usize, usize)> = centers
@@ -488,7 +496,7 @@ impl<'a> SharedTrunk<'a> {
         for (l, level) in self.levels.iter().enumerate() {
             let block = self.model.block(l);
             let (w, b) = (&block.weight.value, &block.bias.value);
-            let rings: Vec<Tensor> = level
+            below = level
                 .ring
                 .parts
                 .iter()
@@ -500,26 +508,22 @@ impl<'a> SharedTrunk<'a> {
                     ring
                 })
                 .collect();
-            if l + 1 == self.levels.len() {
-                let np = level.side / 2;
-                out.par_chunks_mut(level.tile_out())
-                    .zip(origins.par_iter())
-                    .enumerate()
-                    .for_each(|(i, (d, &(y, x)))| {
-                        let whole = (0..np, 0..np);
-                        let to = MapLayout::dense(0, (np, np));
-                        level.assemble((y >> l, x >> l), (&rings, i), whole, d, to);
-                    });
-            }
-            below = rings;
         }
         self.spare = spare;
+        let [c, h, w] = self.tile_dims;
+        out.par_chunks_mut(c * h * w)
+            .zip(origins.par_iter())
+            .enumerate()
+            .for_each(|(i, (dst, &origin))| {
+                let to = MapLayout::dense(0, (h, w));
+                let window = (0..h, 0..w);
+                self.input_window(self.levels.len(), origin, (&below, i), window, dst, to);
+            });
     }
 
     /// Level `l`'s ring input `part` for every tile: its windows of the
-    /// tile's input map — the raster, normalized as the tile clip is, or
-    /// the previous level's pooled map rebuilt from its kept map and the
-    /// tile's ring values `below` — stacked per tile, in `buf`.
+    /// tile's input map ([`SharedTrunk::input_window`]) stacked per tile,
+    /// in `buf`.
     fn ring_input(
         &self,
         l: usize,
@@ -535,35 +539,53 @@ impl<'a> SharedTrunk<'a> {
         buf.par_chunks_mut(c_in * h * w)
             .zip(origins.par_iter())
             .enumerate()
-            .for_each(|(i, (dst, &(y, x)))| {
+            .for_each(|(i, (dst, &origin))| {
                 for win in &part.windows {
                     let to = MapLayout::dense(0, (h, w)).at(win.at);
-                    match l.checked_sub(1) {
-                        None => self.raster_window((y, x), win, dst, to),
-                        Some(k) => {
-                            let window = (win.rows.clone(), win.cols.clone());
-                            self.levels[k].assemble((y >> k, x >> k), (below, i), window, dst, to);
-                        }
-                    }
+                    let window = (win.rows.clone(), win.cols.clone());
+                    self.input_window(l, origin, (below, i), window, dst, to);
                 }
             });
         Tensor::from_vec([origins.len(), c_in, h, w], buf).expect("ring input")
     }
 
-    /// Copies window `win` of the tile whose origin is raster cell `(y,
-    /// x)` into `dst` at `to`, normalized as the tile clip is.
-    fn raster_window(&self, (y, x): (usize, usize), win: &Window, dst: &mut [f32], to: MapLayout) {
+    /// Writes the window `rows × cols` of level `l`'s input map of the
+    /// tile whose origin is raster cell `(y, x)` into `dst` at `to`: the
+    /// raster window at `l = 0`, and otherwise level `l − 1`'s pooled map,
+    /// rebuilt from its kept map and the tile's ring values, sample `i` of
+    /// `below`.
+    fn input_window(
+        &self,
+        l: usize,
+        (y, x): (usize, usize),
+        (below, i): (&[Tensor], usize),
+        window: (Range<usize>, Range<usize>),
+        dst: &mut [f32],
+        to: MapLayout,
+    ) {
+        match l.checked_sub(1) {
+            None => self.raster_window((y, x), window, dst, to),
+            Some(k) => self.levels[k].assemble((y >> k, x >> k), (below, i), window, dst, to),
+        }
+    }
+
+    /// Copies the window `rows × cols` of the tile whose origin is raster
+    /// cell `(y, x)` into `dst` at `to`, normalized as the dataset is.
+    fn raster_window(
+        &self,
+        (y, x): (usize, usize),
+        (rows, cols): (Range<usize>, Range<usize>),
+        dst: &mut [f32],
+        to: MapLayout,
+    ) {
         let (rh, rw) = (self.raster.dims()[1], self.raster.dims()[2]);
-        let c = self.raster.dims()[0];
-        for ci in 0..c {
-            for (r, src_y) in win.rows.clone().enumerate() {
+        for ci in 0..self.raster.dims()[0] {
+            for (r, src_y) in rows.clone().enumerate() {
                 let s = (ci * rh + y + src_y) * rw + x;
                 let d = to.origin + ci * to.channel_stride + r * to.row_stride;
-                let out = &mut dst[d..d + win.cols.len()];
-                out.copy_from_slice(&self.raster.data()[s + win.cols.start..s + win.cols.end]);
-                if self.config.normalize {
-                    super::normalize(out);
-                }
+                let out = &mut dst[d..d + cols.len()];
+                out.copy_from_slice(&self.raster.data()[s + cols.start..s + cols.end]);
+                super::normalize(out);
             }
         }
     }
@@ -652,7 +674,7 @@ impl<'a> SharedTrunk<'a> {
 
     /// Fills `row` with channel `c` of level `l`'s input at row `y` (`None`
     /// above the region), from column `x0 − pad` on, with zeros outside
-    /// the region: the raster normalized as the tile clip is, or the
+    /// the region: the raster normalized as the dataset is, or the
     /// previous level's kept map.
     fn input_row(
         &self,
@@ -679,9 +701,7 @@ impl<'a> SharedTrunk<'a> {
             let (rh, rw) = (self.raster.dims()[1], self.raster.dims()[2]);
             let src = &self.raster.data()[(c * rh + y) * rw..(c * rh + y + 1) * rw];
             dst.copy_from_slice(&src[cols]);
-            if self.config.normalize {
-                super::normalize(dst);
-            }
+            super::normalize(dst);
         } else {
             let band = &self.levels[l - 1].band;
             let at = band.layout((y, 0));
@@ -709,21 +729,21 @@ mod tests {
         let net = model(3);
         // Overlap and an even stride share conv1 and conv2; a multiple of
         // 4 shares conv3 too; odd strides and disjoint tiles share nothing.
-        assert_eq!(shared_levels(&net, 100, 50), Some(2));
-        assert_eq!(shared_levels(&net, 100, 12), Some(3));
-        assert_eq!(shared_levels(&net, 100, 24), Some(3));
-        assert_eq!(shared_levels(&net, 100, 2), Some(2));
-        assert_eq!(shared_levels(&net, 100, 51), None);
-        assert_eq!(shared_levels(&net, 100, 100), None);
-        assert_eq!(shared_levels(&net, 100, 120), None);
-        assert_eq!(shared_levels(&net, 100, 0), None);
+        assert_eq!(shared_levels(&net, 100, 50), 2);
+        assert_eq!(shared_levels(&net, 100, 12), 3);
+        assert_eq!(shared_levels(&net, 100, 24), 3);
+        assert_eq!(shared_levels(&net, 100, 2), 2);
+        assert_eq!(shared_levels(&net, 100, 51), 0);
+        assert_eq!(shared_levels(&net, 100, 100), 0);
+        assert_eq!(shared_levels(&net, 100, 120), 0);
+        assert_eq!(shared_levels(&net, 100, 0), 0);
         // A 4-pixel tile pools to 1×1 after conv2: conv3 cannot share.
-        assert_eq!(shared_levels(&net, 4, 2), Some(2));
-        assert_eq!(shared_levels(&net, 4, 4), None);
-        assert_eq!(shared_levels(&net, 3, 2), None);
+        assert_eq!(shared_levels(&net, 4, 2), 2);
+        assert_eq!(shared_levels(&net, 4, 4), 0);
+        assert_eq!(shared_levels(&net, 3, 2), 0);
         // An even conv1 kernel changes the map's size: no sharing.
-        assert_eq!(shared_levels(&model(1), 100, 50), Some(2));
-        assert_eq!(shared_levels(&model(2), 100, 50), None);
+        assert_eq!(shared_levels(&model(1), 100, 50), 2);
+        assert_eq!(shared_levels(&model(2), 100, 50), 0);
     }
 
     /// Ring sizes from the first level down, for a tile side and the
@@ -785,10 +805,11 @@ mod tests {
     #[test]
     fn tile_maps_equal_the_per_tile_trunk_bitwise() {
         // Candidate 2's geometry (100×100 tiles, 3×3 convs) with narrow
-        // channels, on a 260×310 raster that neither stride divides. At
-        // stride 50 the tail starts at conv3, at stride 12 at the SPP
-        // layer. Corner, edge-middle and interior tiles are checked
-        // against the first blocks run on the tile alone.
+        // channels, on a 260×310 raster that no stride divides. At stride
+        // 50 the tail starts at conv3, at stride 12 at the SPP layer, and
+        // at stride 51 at conv1. Corner, edge-middle and interior tiles are
+        // checked against the first blocks run on the tile alone.
+        use dcd_geodata::render::clip_patch_into;
         use dcd_nn::{Layer, SppNetConfig};
         use dcd_tensor::SeededRng;
         let mut arch = SppNetConfig::candidate2();
@@ -796,14 +817,16 @@ mod tests {
         arch.fc1 = 16;
         let model = SppNet::new(arch, &mut SeededRng::new(3));
         let raster = Tensor::uniform([4, 260, 310], 0.0, 1.0, &mut SeededRng::new(4));
-        for (stride, levels, side) in [(50, 2, 25), (12, 3, 12)] {
+        for (stride, levels, dims) in [
+            (50, 2, [12, 25, 25]),
+            (12, 3, [16, 12, 12]),
+            (51, 0, [4, 100, 100]),
+        ] {
             let config = ScanConfig::for_patch(100).with_stride(stride);
-            assert_eq!(shared_levels(&model, 100, stride), Some(levels));
             let centers = super::super::tile_centers(310, 260, &config);
-            let mut trunk = SharedTrunk::new(&model, &raster, &config, levels, &centers);
+            let mut trunk = SharedTrunk::new(&model, &raster, &config, &centers, 7);
             assert_eq!(trunk.tail_block(), levels);
-            let dims = trunk.tile_dims();
-            assert_eq!(dims, [model.block_geometry(levels - 1).c_out, side, side]);
+            assert_eq!(trunk.tile_dims(), dims);
             let per: usize = dims.iter().product();
             let tile = |c: (usize, usize)| ((c.1 - 50) / stride, (c.0 - 50) / stride);
             let (rows, cols) = tile(*centers.last().unwrap());
@@ -822,7 +845,8 @@ mod tests {
                         continue;
                     }
                     let mut clip = vec![0.0f32; 4 * 100 * 100];
-                    super::super::clip_tile(&raster, c, &config, &mut clip);
+                    clip_patch_into(&raster, c.0, c.1, 100, &mut clip);
+                    clip.iter_mut().for_each(|v| *v = (*v - 0.5) * 2.0);
                     let mut x = Tensor::from_vec([1, 4, 100, 100], clip).unwrap();
                     for b in 0..levels {
                         x = model.block(b).infer(&x);

@@ -79,7 +79,7 @@ impl crate::halving::BudgetedEvaluator for TrainingEvaluator {
         let mut tc = self.train_config;
         tc.epochs = ((tc.epochs as f64 * budget).round() as usize).max(1);
         Trainer::new(tc).train(&mut model, &self.train);
-        let (ap, _) = evaluate(&mut model, &self.test, self.iou_threshold);
+        let (ap, _) = evaluate(&model, &self.test, self.iou_threshold);
         ap as f64
     }
 }

@@ -235,13 +235,13 @@ impl Trainer {
 
 /// Evaluates a model on a labelled set, returning `(AP, PR curve)` at the
 /// given IoU threshold (paper uses AP at IoU 0.5).
-pub fn evaluate(model: &mut SppNet, samples: &[Sample], iou_threshold: f32) -> (f32, Vec<PrPoint>) {
+pub fn evaluate(model: &SppNet, samples: &[Sample], iou_threshold: f32) -> (f32, Vec<PrPoint>) {
     evaluate_batched(model, samples, iou_threshold, 20)
 }
 
 /// [`evaluate`] with an explicit inference batch size.
 pub fn evaluate_batched(
-    model: &mut SppNet,
+    model: &SppNet,
     samples: &[Sample],
     iou_threshold: f32,
     batch_size: usize,
@@ -332,17 +332,17 @@ mod tests {
         });
         trainer.train(&mut model, &train_set);
         // Lenient IoU: we check the detector separates pos/neg scores.
-        let (ap, _) = evaluate(&mut model, &test_set, 0.1);
+        let (ap, _) = evaluate(&model, &test_set, 0.1);
         assert!(ap > 0.6, "AP {ap} should beat chance on separable data");
     }
 
     #[test]
     fn evaluate_batched_is_batch_size_invariant() {
         let mut rng = SeededRng::new(5);
-        let mut model = SppNet::new(SppNetConfig::tiny(), &mut rng);
+        let model = SppNet::new(SppNetConfig::tiny(), &mut rng);
         let data = toy_dataset(4, 4, 9);
-        let (ap1, _) = evaluate_batched(&mut model, &data, 0.5, 1);
-        let (ap8, _) = evaluate_batched(&mut model, &data, 0.5, 8);
+        let (ap1, _) = evaluate_batched(&model, &data, 0.5, 1);
+        let (ap8, _) = evaluate_batched(&model, &data, 0.5, 8);
         assert!((ap1 - ap8).abs() < 1e-6);
     }
 
@@ -372,7 +372,7 @@ mod tests {
         // Plain training, score the final snapshot.
         let mut plain = SppNet::new(SppNetConfig::tiny(), &mut rng);
         Trainer::new(tc).train(&mut plain, &data);
-        let (final_ap, _) = evaluate(&mut plain, &val, 0.1);
+        let (final_ap, _) = evaluate(&plain, &val, 0.1);
         // Validation-selected training on the identical setup.
         let mut selected = SppNet::new(SppNetConfig::tiny(), &mut SeededRng::new(31));
         let (_, best_ap) = Trainer::new(tc).train_with_validation(&mut selected, &data, &val, 0.1);
@@ -381,7 +381,7 @@ mod tests {
             "selected {best_ap} < final {final_ap}"
         );
         // The restored weights actually reproduce the best validation AP.
-        let (restored_ap, _) = evaluate(&mut selected, &val, 0.1);
+        let (restored_ap, _) = evaluate(&selected, &val, 0.1);
         assert!((restored_ap - best_ap).abs() < 1e-6);
     }
 

@@ -54,9 +54,7 @@
 //! blocked path — regardless of the routine, the tile shape or width, the
 //! block grid, or the thread count. That is what keeps parallel runs
 //! bit-identical to sequential ones, the three routines bit-identical to
-//! each other, and AVX-512 builds bit-identical to AVX2 ones. (The
-//! retained [`gemm_legacy`] baseline uses separate mul+add, so it agrees
-//! with the packed kernel only to rounding, not to the bit.)
+//! each other, and AVX-512 builds bit-identical to AVX2 ones.
 
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -949,17 +947,6 @@ pub fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     c
 }
 
-/// `C = A·B` overwriting an existing buffer (no zeroing pre-pass — the
-/// packed kernel stores every element exactly once).
-pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_ep(a, Trans::No, b, Trans::No, c, m, k, n, Epilogue::Store);
-}
-
-/// `C += A·B` accumulated into an existing buffer.
-pub fn gemm_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_ep(a, Trans::No, b, Trans::No, c, m, k, n, Epilogue::Accumulate);
-}
-
 /// `C = A·B + bias` where `bias` (length `n`) is broadcast over rows — the
 /// fully-connected forward pass, bias fused into the tile write-back
 /// instead of a second sweep over `C`.
@@ -1022,50 +1009,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "matmul inner dims disagree: {k} vs {k2}");
     let c = gemm(a.data(), b.data(), m, k, n);
     Tensor::from_vec([m, n], c).expect("gemm output size")
-}
-
-// -------------------------------------------------------------- legacy
-
-/// The pre-packing scalar axpy kernel, kept as the benchmark baseline
-/// (`dcd-bench --bin gemm` reports packed-vs-legacy speedups) and as an
-/// independent oracle in tests. Not used by any layer.
-pub fn gemm_legacy(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    let mut c = vec![0.0f32; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
-    const KC: usize = 256;
-    let legacy_rows = |a: &[f32], c_rows: &mut [f32], i0: usize, i1: usize| {
-        for kb in (0..k).step_by(KC) {
-            let kend = (kb + KC).min(k);
-            for i in i0..i1 {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c_rows[(i - i0) * n..(i - i0 + 1) * n];
-                for p in kb..kend {
-                    let aval = a_row[p];
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                        *cv += aval * bv;
-                    }
-                }
-            }
-        }
-    };
-    if m * n * k < PAR_WORK {
-        legacy_rows(a, &mut c, 0, m);
-    } else {
-        c.par_chunks_mut(32 * n)
-            .enumerate()
-            .for_each(|(blk, c_blk)| {
-                legacy_rows(a, c_blk, blk * 32, (blk * 32 + 32).min(m));
-            });
-    }
-    c
 }
 
 #[cfg(test)]
@@ -1134,21 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_legacy_closely() {
-        // The packed kernel keeps the legacy summation order (single
-        // accumulator per element, p ascending) but fuses each multiply-add,
-        // so it agrees with the separate-mul-add legacy kernel to rounding.
-        let mut rng = SeededRng::new(12);
-        for &(m, k, n) in &[(1, 7, 5), (13, 31, 9), (70, 300, 50)] {
-            let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
-            let packed = gemm(&a, &b, m, k, n);
-            let legacy = gemm_legacy(&a, &b, m, k, n);
-            assert_close(&packed, &legacy, 1e-5);
-        }
-    }
-
-    #[test]
     fn thin_matches_tiled_bitwise() {
         // m ≤ THIN_M routes through the axpy path; the tiled kernel run on
         // the same inputs (via a pre-packed LHS, which always tiles) must
@@ -1193,15 +1121,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn gemm_acc_accumulates() {
-        let a = vec![1., 0., 0., 1.];
-        let b = vec![2., 3., 4., 5.];
-        let mut c = vec![1.0; 4];
-        gemm_acc(&a, &b, &mut c, 2, 2, 2);
-        assert_eq!(c, vec![3., 4., 5., 6.]);
     }
 
     #[test]

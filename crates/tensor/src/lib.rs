@@ -29,8 +29,7 @@ pub use conv::{
     conv2d_relu_pool_backward, conv2d_relu_pool_tracked, Conv2dGrads,
 };
 pub use gemm::{
-    gemm, gemm_acc, gemm_at, gemm_bias, gemm_bt, gemm_ep, gemm_into, gemm_legacy, gemm_packed,
-    matmul, Epilogue, PackedLhs, Trans,
+    gemm, gemm_at, gemm_bias, gemm_bt, gemm_ep, gemm_packed, matmul, Epilogue, PackedLhs, Trans,
 };
 pub use pool::{
     adaptive_max_pool2d, adaptive_max_pool2d_values, max_pool2d, max_pool2d_backward,

@@ -90,7 +90,7 @@ fn cmd_train(args: &[String]) {
         ..Default::default()
     })
     .train(&mut model, &ds.train);
-    let (ap, _) = dcd_nn::trainer::evaluate(&mut model, &ds.test, 0.5);
+    let (ap, _) = dcd_nn::trainer::evaluate(&model, &ds.test, 0.5);
     println!("test AP@IoU0.5 = {ap:.3}");
     let ckpt = Checkpoint::save(&mut model);
     std::fs::write(&out, ckpt.to_json()).expect("write checkpoint");

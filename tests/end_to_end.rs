@@ -32,8 +32,7 @@ fn geodata_to_detector_end_to_end() {
     let mut arch = SppNetConfig::original();
     arch.channels = [8, 16, 16];
     arch.fc1 = 64;
-    let mut detector =
-        DrainageCrossingDetector::train(arch, &dataset.train, quick_train_config(), 7);
+    let detector = DrainageCrossingDetector::train(arch, &dataset.train, quick_train_config(), 7);
     let ap = detector.average_precision(&dataset.test, 0.5);
     assert!(
         ap > 0.5,

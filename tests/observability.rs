@@ -6,7 +6,7 @@
 //! The span buffers and metrics registry are process-global, so every test
 //! here serializes on one lock and drains/resets state up front.
 
-use dcd_core::scan::{scan_scene, ScanConfig};
+use dcd_core::scan::{scan_scene, scan_scene_resilient, ScanConfig, SimScanConfig};
 use dcd_core::{profile_run, DrainageCrossingDetector};
 use dcd_gpusim::DeviceSpec;
 use dcd_nn::{SppNet, SppNetConfig};
@@ -16,8 +16,10 @@ use std::sync::Mutex;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-/// A small untrained detector over 4-band geodata, plus rendered bands.
+/// A small untrained detector over 4-band geodata, plus rendered bands,
+/// with recording turned on.
 fn fixture() -> (DrainageCrossingDetector, Tensor, ScanConfig) {
+    dcd_obs::set_enabled(true);
     let mut arch = SppNetConfig::tiny();
     arch.in_channels = 4;
     let model = SppNet::new(arch, &mut SeededRng::new(5));
@@ -25,10 +27,7 @@ fn fixture() -> (DrainageCrossingDetector, Tensor, ScanConfig) {
     detector.threshold = 0.0;
     let ds = dcd_geodata::PatchDataset::generate(&dcd_geodata::dataset::small_config(), 21);
     let bands = dcd_geodata::render::render_bands(&ds.scene, 0.03, &mut SeededRng::new(9));
-    let scan = ScanConfig::for_patch(48)
-        .with_batch_size(8)
-        .with_stride(24)
-        .with_obs(true);
+    let scan = ScanConfig::for_patch(48).with_batch_size(8).with_stride(24);
     (detector, bands, scan)
 }
 
@@ -161,6 +160,53 @@ fn scan_metrics_tick_and_render() {
     let flops = snap.counter("conv.flops").expect("conv flops counted");
     assert!(flops > 0);
     assert!(snap.render().contains("scan.patches"));
+    dcd_obs::drain_spans();
+}
+
+#[test]
+fn resilient_scan_runs_the_shared_trunk() {
+    // At stride 24 the 48-pixel tiles share all three conv levels. The
+    // resilient scan builds its chunks through the same trunk as the plain
+    // scan, so it counts the same conv FLOPs, fewer than running every
+    // tile through the whole network.
+    let _guard = OBS_LOCK.lock().unwrap();
+    let (detector, bands, scan) = fixture();
+    let counted = |run: &dyn Fn()| {
+        dcd_obs::reset_metrics();
+        run();
+        let snap = dcd_obs::snapshot();
+        let count = |name| {
+            snap.counter(name)
+                .unwrap_or_else(|| panic!("{name} not counted"))
+        };
+        (count("conv.flops"), count("scan.patches"))
+    };
+    let (plain, tiles) = counted(&|| {
+        scan_scene(&detector, &bands, &scan);
+    });
+    let sim = SimScanConfig::new().with_device(DeviceSpec::test_gpu());
+    let (resilient, resilient_tiles) = counted(&|| {
+        let report = scan_scene_resilient(&detector, &bands, &scan, &sim).expect("healthy scan");
+        assert_eq!(
+            report.batch, scan.batch_size,
+            "no degradation on a healthy device"
+        );
+    });
+    dcd_obs::reset_metrics();
+    detector.detect_tensor(&Tensor::zeros([1, 4, 48, 48]));
+    let per_tile = dcd_obs::snapshot()
+        .counter("conv.flops")
+        .expect("conv flops counted");
+    assert_eq!(resilient_tiles, tiles);
+    assert_eq!(
+        resilient, plain,
+        "resilient and plain scans ran different convs"
+    );
+    assert!(
+        resilient < tiles * per_tile,
+        "resilient scan ran {resilient} conv FLOPs, per-tile {}",
+        tiles * per_tile
+    );
     dcd_obs::drain_spans();
 }
 
