@@ -38,10 +38,11 @@ pub struct PipelineConfig {
     pub warmup: usize,
     /// Measured iterations per latency measurement.
     pub iterations: usize,
-    /// Faults injected into every simulated measurement (`None`: healthy
-    /// device; measurements use the infallible fast path).
-    pub fault_plan: Option<FaultPlan>,
-    /// Retry policy used when `fault_plan` is set.
+    /// Faults injected into the [`Pipeline::benchmark`] measurements (use
+    /// [`FaultPlan::none`] for a healthy device). The batch sweep always
+    /// runs healthy.
+    pub fault_plan: FaultPlan,
+    /// Retry policy the benchmark measurements run under.
     pub retry: RetryPolicy,
 }
 
@@ -58,7 +59,7 @@ impl PipelineConfig {
             batch_sizes: vec![1, 2, 4, 8, 16, 32, 64],
             warmup: 2,
             iterations: 5,
-            fault_plan: None,
+            fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
         }
     }
@@ -111,13 +112,13 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the fault plan injected into simulated measurements.
-    pub fn with_fault_plan(mut self, fault_plan: Option<FaultPlan>) -> Self {
+    /// Sets the fault plan injected into the benchmark measurements.
+    pub fn with_fault_plan(mut self, fault_plan: FaultPlan) -> Self {
         self.fault_plan = fault_plan;
         self
     }
 
-    /// Sets the retry policy used when a fault plan is set.
+    /// Sets the retry policy the benchmark measurements run under.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -227,9 +228,10 @@ impl Pipeline {
         (t_seq / 1e6, t_opt / 1e6, opt, health)
     }
 
-    /// Mean latency of one schedule at one batch size, ns. On a healthy
-    /// device this is plain [`measure_latency`]; with a fault plan, every
-    /// inference runs under the retry policy and tallies into `health`.
+    /// Mean latency of one schedule at one batch size, ns: every inference
+    /// runs on a device with the configured fault plan, under the retry
+    /// policy, and tallies into `health`. With an empty plan this is
+    /// [`measure_latency`], bit for bit.
     fn measure(
         &self,
         graph: &dcd_ios::Graph,
@@ -237,35 +239,20 @@ impl Pipeline {
         batch: usize,
         health: &mut RunHealth,
     ) -> f64 {
-        match &self.config.fault_plan {
-            None => {
-                measure_latency(
-                    graph,
-                    schedule,
-                    batch,
-                    &self.config.device,
-                    self.config.warmup,
-                    self.config.iterations,
-                )
-                .mean_ns
-            }
-            Some(plan) => {
-                let mut gpu = Gpu::new(self.config.device.clone());
-                gpu.set_fault_plan(plan.clone());
-                let mut exec = Executor::try_with_gpu(graph, schedule.clone(), batch, gpu)
-                    .unwrap_or_else(|e| panic!("measurement setup failed: {e}"));
-                for _ in 0..self.config.warmup {
-                    let _ = retry_inference(&mut exec, &self.config.retry, health);
-                }
-                let iters = self.config.iterations.max(1);
-                let mut total = 0u64;
-                for _ in 0..iters {
-                    total += retry_inference(&mut exec, &self.config.retry, health)
-                        .unwrap_or_else(|e| panic!("measurement exhausted retries: {e}"));
-                }
-                total as f64 / iters as f64
-            }
+        let mut gpu = Gpu::new(self.config.device.clone());
+        gpu.set_fault_plan(self.config.fault_plan.clone());
+        let mut exec = Executor::try_with_gpu(graph, schedule.clone(), batch, gpu)
+            .unwrap_or_else(|e| panic!("measurement setup failed: {e}"));
+        for _ in 0..self.config.warmup {
+            let _ = retry_inference(&mut exec, &self.config.retry, health);
         }
+        let iters = self.config.iterations.max(1);
+        let mut total = 0u64;
+        for _ in 0..iters {
+            total += retry_inference(&mut exec, &self.config.retry, health)
+                .unwrap_or_else(|e| panic!("measurement exhausted retries: {e}"));
+        }
+        total as f64 / iters as f64
     }
 
     /// Sweeps batch sizes for one configuration, re-optimizing the schedule
@@ -472,11 +459,11 @@ mod tests {
     fn faulted_benchmark_reports_health() {
         use dcd_gpusim::FaultPlan;
         let mut cfg = quick_config();
-        cfg.fault_plan = Some(FaultPlan {
+        cfg.fault_plan = FaultPlan {
             seed: 3,
             launch_failure_rate: 0.02,
             ..FaultPlan::none()
-        });
+        };
         let p = Pipeline::new(cfg);
         let (seq, opt, _, health) = p.benchmark_with_health(&SppNetConfig::original());
         assert!(seq > 0.0 && opt > 0.0);
@@ -485,6 +472,24 @@ mod tests {
         let clean = Pipeline::new(quick_config());
         let (_, _, _, h2) = clean.benchmark_with_health(&SppNetConfig::original());
         assert!(h2.is_clean());
+    }
+
+    #[test]
+    fn healthy_benchmark_is_measure_latency_bitwise() {
+        let p = Pipeline::new(quick_config());
+        let config = SppNetConfig::original();
+        let (seq, opt, schedule, health) = p.benchmark_with_health(&config);
+        assert!(health.is_clean());
+        let graph = lower_sppnet(&config, p.config.input_hw);
+        let latency = |s: &Schedule| {
+            let (warmup, iterations) = (p.config.warmup, p.config.iterations);
+            measure_latency(&graph, s, 1, &p.config.device, warmup, iterations).mean_ns / 1e6
+        };
+        assert_eq!(
+            seq.to_bits(),
+            latency(&sequential_schedule(&graph)).to_bits()
+        );
+        assert_eq!(opt.to_bits(), latency(&schedule).to_bits());
     }
 
     #[test]

@@ -190,13 +190,6 @@ fn tile_centers(w: usize, h: usize, config: &ScanConfig) -> Vec<(usize, usize)> 
     centers
 }
 
-/// The dataset's reflectance normalization to `[-1, 1]`, pixel by pixel.
-fn normalize(values: &mut [f32]) {
-    for v in values {
-        *v = (*v - 0.5) * 2.0;
-    }
-}
-
 /// Runs one chunk of tiles through the detector: the trunk writes the
 /// chunk's input to the rest of the network into `buf`, which is loaned to
 /// a batch tensor for inference and then reclaimed, so a scan allocates its

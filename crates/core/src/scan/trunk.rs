@@ -51,6 +51,7 @@
 //! the scratch arena for at most the buffers a per-tile pass asks for.
 
 use super::ScanConfig;
+use dcd_geodata::normalize_reflectance;
 use dcd_nn::{BlockGeometry, SppNet, CONV_BLOCKS};
 use dcd_tensor::{
     conv2d_relu, conv2d_relu_at, conv2d_relu_pool, max_pool2x2_at, MapLayout, Tensor,
@@ -585,7 +586,7 @@ impl<'a> SharedTrunk<'a> {
                 let d = to.origin + ci * to.channel_stride + r * to.row_stride;
                 let out = &mut dst[d..d + cols.len()];
                 out.copy_from_slice(&self.raster.data()[s + cols.start..s + cols.end]);
-                super::normalize(out);
+                normalize_reflectance(out);
             }
         }
     }
@@ -701,7 +702,7 @@ impl<'a> SharedTrunk<'a> {
             let (rh, rw) = (self.raster.dims()[1], self.raster.dims()[2]);
             let src = &self.raster.data()[(c * rh + y) * rw..(c * rh + y + 1) * rw];
             dst.copy_from_slice(&src[cols]);
-            super::normalize(dst);
+            normalize_reflectance(dst);
         } else {
             let band = &self.levels[l - 1].band;
             let at = band.layout((y, 0));
@@ -810,7 +811,7 @@ mod tests {
         // at stride 51 at conv1. Corner, edge-middle and interior tiles are
         // checked against the first blocks run on the tile alone.
         use dcd_geodata::render::clip_patch_into;
-        use dcd_nn::{Layer, SppNetConfig};
+        use dcd_nn::SppNetConfig;
         use dcd_tensor::SeededRng;
         let mut arch = SppNetConfig::candidate2();
         arch.channels = [8, 12, 16];

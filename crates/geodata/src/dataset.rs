@@ -150,10 +150,19 @@ impl PatchDataset {
     }
 }
 
-/// Standardizes a reflectance patch for training: bands are in `[0, 1]`
-/// with a grand mean near 0.5, so `(x − 0.5)·2` centres them in `[−1, 1]`.
-fn normalize(patch: dcd_tensor::Tensor) -> dcd_tensor::Tensor {
-    patch.map(|v| (v - 0.5) * 2.0)
+/// Standardizes reflectance values in place, as the detector sees them in
+/// training and in scans alike: bands are in `[0, 1]` with a grand mean
+/// near 0.5, so `(x − 0.5)·2` centres them in `[−1, 1]`.
+pub fn normalize_reflectance(values: &mut [f32]) {
+    for v in values {
+        *v = (*v - 0.5) * 2.0;
+    }
+}
+
+/// A clipped patch, normalized for training.
+fn normalize(mut patch: dcd_tensor::Tensor) -> dcd_tensor::Tensor {
+    normalize_reflectance(patch.data_mut());
+    patch
 }
 
 /// A small, quick dataset configuration for tests and examples: 64×64

@@ -30,7 +30,7 @@ pub mod render;
 pub mod scene;
 pub mod visualize;
 
-pub use dataset::{DatasetConfig, PatchDataset};
+pub use dataset::{normalize_reflectance, DatasetConfig, PatchDataset};
 pub use dem::{generate_dem, DemConfig};
 pub use grid::Grid;
 pub use hydrology::{connectivity, fill_depressions, flow_accumulation, flow_directions, D8};

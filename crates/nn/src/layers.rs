@@ -1,9 +1,12 @@
 //! Concrete CNN layers with explicit forward/backward passes.
 //!
-//! Every layer runs two ways. [`Layer::forward`] records what its backward
-//! pass needs; calling `backward` before `forward` is a programming error
-//! and panics. [`Layer::infer`] computes the same output, bit for bit, from
-//! `&self`: it records nothing and copies no input.
+//! A layer holds only its parameters. Its forward pass takes `&self` and
+//! records nothing: what the backward pass needs besides the input and
+//! output (a pool's argmax) comes back with the output, and the caller
+//! hands all of it to `backward` — [`crate::SppNet`] keeps them on its
+//! training tape. The inference passes ([`ConvBlock::infer`],
+//! [`SppLayer::infer`]) compute the same output, bit for bit, without the
+//! argmax.
 
 use crate::param::Param;
 use dcd_tensor::{
@@ -12,31 +15,6 @@ use dcd_tensor::{
     Tensor, Trans,
 };
 use rayon::prelude::*;
-
-/// Common interface over all layers.
-pub trait Layer {
-    /// Computes the layer output, recording state for `backward`.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
-    /// Computes the same output as [`Layer::forward`] without recording
-    /// anything — the inference path.
-    fn infer(&self, x: &Tensor) -> Tensor;
-    /// Propagates `grad_out` to the input gradient, accumulating parameter
-    /// gradients along the way.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
-    /// the first layer of a network, whose input is the image: accumulates
-    /// the same parameter gradients, bit for bit, and may skip the input
-    /// gradient's work.
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        self.backward(grad_out);
-    }
-    /// Trainable parameters (empty for stateless layers).
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-    /// Human-readable layer name for summaries.
-    fn name(&self) -> String;
-}
 
 /// ReLU backward in place: zeroes `grad` wherever the recorded ReLU output
 /// `act` is not positive (NaN included). The 0/1 factor is multiplied in,
@@ -56,28 +34,17 @@ fn mask_relu_grad(grad: &mut Tensor, act: &Tensor) {
 /// `conv+bias+ReLU+pool` kernel in training and inference alike, so the
 /// full-resolution activation never leaves per-thread scratch.
 ///
-/// Training records the input, the pooled output and the pool's argmax.
-/// The ReLU mask backward needs is the pooled output's sign: each pooled
-/// value is its winner's activation, and every other activation receives
-/// no gradient. Backward is the fused `conv2d_relu_pool_backward`, which
-/// never forms the full-resolution gradient, and
-/// [`Layer::backward_params`] skips the input gradient altogether.
+/// Backward reads the input, the pooled output and the pool's argmax. The
+/// ReLU mask it needs is the pooled output's sign: each pooled value is its
+/// winner's activation, and every other activation receives no gradient.
+/// Backward is the fused `conv2d_relu_pool_backward`, which never forms the
+/// full-resolution gradient and can skip the input gradient altogether.
 #[derive(Debug, Clone)]
 pub struct ConvBlock {
     /// Filter bank `[C_out, C_in, K, K]` (odd `K`; padding is `K/2`).
     pub weight: Param,
     /// Per-filter bias `[C_out]`.
     pub bias: Param,
-    saved: Option<ConvBlockState>,
-}
-
-/// What [`ConvBlock::backward`] needs from the forward pass.
-#[derive(Debug, Clone)]
-struct ConvBlockState {
-    input: Tensor,
-    /// The pooled ReLU output; its positive entries are the winners' mask.
-    output: Tensor,
-    pool: MaxIndices,
 }
 
 impl ConvBlock {
@@ -90,7 +57,6 @@ impl ConvBlock {
                 true,
             ),
             bias: Param::new(Tensor::zeros([c_out]), false),
-            saved: None,
         }
     }
 
@@ -99,104 +65,53 @@ impl ConvBlock {
         self.weight.value.dims()[2] / 2
     }
 
-    /// The fused C–P backward from the recorded forward: accumulates the
-    /// parameter gradients and returns the input gradient when asked for.
-    fn backward_fused(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
-        let pad = self.pad();
-        let s = self
-            .saved
-            .as_ref()
-            .expect("ConvBlock::backward before forward");
+    /// Training forward: the pooled output and the pool's argmax, which
+    /// [`ConvBlock::backward`] reads back.
+    pub fn forward(&self, x: &Tensor) -> (Tensor, MaxIndices) {
+        conv2d_relu_pool_tracked(x, &self.weight.value, &self.bias.value, 1, self.pad())
+    }
+
+    /// [`ConvBlock::forward`]'s output without the argmax — the inference
+    /// path.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        conv2d_relu_pool(x, &self.weight.value, &self.bias.value, 1, self.pad())
+    }
+
+    /// The fused C–P backward of a forward pass that read `x` and returned
+    /// `y` and `argmax`: accumulates the parameter gradients and returns the
+    /// input gradient if `input_grad` is set. Without it the input
+    /// gradient's GEMM and col2im are skipped — for a first block, whose
+    /// input is the image.
+    pub fn backward(
+        &mut self,
+        x: &Tensor,
+        y: &Tensor,
+        argmax: &MaxIndices,
+        grad_out: &Tensor,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let Conv2dGrads {
             input,
             weight,
             bias,
         } = conv2d_relu_pool_backward(
-            &s.input,
+            x,
             &self.weight.value,
-            &s.output,
-            &s.pool,
+            y,
+            argmax,
             grad_out,
             1,
-            pad,
+            self.pad(),
             input_grad,
         );
         self.weight.grad.axpy(1.0, &weight);
         self.bias.grad.axpy(1.0, &bias);
         input
     }
-}
 
-impl Layer for ConvBlock {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (w, b) = (&self.weight.value, &self.bias.value);
-        let (y, pool) = conv2d_relu_pool_tracked(x, w, b, 1, self.pad());
-        self.saved = Some(ConvBlockState {
-            input: x.clone(),
-            output: y.clone(),
-            pool,
-        });
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        conv2d_relu_pool(x, &self.weight.value, &self.bias.value, 1, self.pad())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_fused(grad_out, true)
-            .expect("input gradient requested")
-    }
-
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        self.backward_fused(grad_out, false);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn name(&self) -> String {
-        let d = self.weight.value.dims();
-        format!("ConvBlock({}->{}, k={})", d[1], d[0], d[2])
-    }
-}
-
-// --------------------------------------------------------------------- ReLU
-
-/// Rectified linear unit, for the FC trunk.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    output: Option<Tensor>,
-}
-
-impl Relu {
-    /// A fresh ReLU.
-    pub fn new() -> Self {
-        Relu::default()
-    }
-}
-
-impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = self.infer(x);
-        self.output = Some(y.clone());
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        x.map(|v| if v > 0.0 { v } else { 0.0 })
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.output.as_ref().expect("Relu::backward before forward");
-        let mut g = grad_out.clone();
-        mask_relu_grad(&mut g, y);
-        g
-    }
-
-    fn name(&self) -> String {
-        "ReLU".into()
+    /// Weight and bias.
+    pub fn params_mut(&mut self) -> [&mut Param; 2] {
+        [&mut self.weight, &mut self.bias]
     }
 }
 
@@ -212,8 +127,6 @@ impl Layer for Relu {
 pub struct SppLayer {
     /// Pyramid bin counts, e.g. `[4, 2, 1]` for the paper's `SPP_{4,2,1}`.
     pub levels: Vec<usize>,
-    saved: Vec<MaxIndices>,
-    input_dims: Option<[usize; 4]>,
 }
 
 impl SppLayer {
@@ -222,11 +135,7 @@ impl SppLayer {
         let levels = levels.into();
         assert!(!levels.is_empty(), "SPP needs at least one level");
         assert!(levels.iter().all(|&l| l > 0), "SPP levels must be positive");
-        SppLayer {
-            levels,
-            saved: Vec::new(),
-            input_dims: None,
-        }
+        SppLayer { levels }
     }
 
     /// Output feature count per sample for `channels` input channels.
@@ -249,32 +158,33 @@ impl SppLayer {
         let refs: Vec<&Tensor> = parts.iter().collect();
         Tensor::concat(&refs, 1)
     }
-}
 
-impl Layer for SppLayer {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (n, c, h, w) = x.shape().nchw();
-        self.input_dims = Some([n, c, h, w]);
-        let mut saved = Vec::with_capacity(self.levels.len());
+    /// Training forward: the pyramid and each level's argmax, which
+    /// [`SppLayer::backward`] reads back.
+    pub fn forward(&self, x: &Tensor) -> (Tensor, Vec<MaxIndices>) {
+        let mut argmax = Vec::with_capacity(self.levels.len());
         let y = self.pyramid(x, |level| {
             let (y, ix) = adaptive_max_pool2d(x, level);
-            saved.push(ix);
+            argmax.push(ix);
             y
         });
-        self.saved = saved;
-        y
+        (y, argmax)
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
+    /// [`SppLayer::forward`]'s output without the argmax — the inference
+    /// path.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
         self.pyramid(x, |level| adaptive_max_pool2d_values(x, level))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let [n, c, h, w] = self.input_dims.expect("SppLayer::backward before forward");
-        let mut gx = Tensor::zeros([n, c, h, w]);
+    /// Backward of a forward pass that read `x` and recorded `argmax`:
+    /// routes each level's columns of `grad_out` to their winners in `x`.
+    pub fn backward(&self, x: &Tensor, argmax: &[MaxIndices], grad_out: &Tensor) -> Tensor {
+        let (n, c, _, _) = x.shape().nchw();
+        let mut gx = Tensor::zeros(x.shape().clone());
         let mut col = 0usize;
         let total_cols = grad_out.dims()[1];
-        for (li, &level) in self.levels.iter().enumerate() {
+        for (&level, ix) in self.levels.iter().zip(argmax) {
             let f = c * level * level;
             // Slice columns [col, col+f) of grad_out into [n, c, level, level].
             let mut g = Tensor::zeros([n, c, level, level]);
@@ -282,28 +192,25 @@ impl Layer for SppLayer {
                 let src = &grad_out.data()[s * total_cols + col..s * total_cols + col + f];
                 g.data_mut()[s * f..(s + 1) * f].copy_from_slice(src);
             }
-            let gpart = max_pool2d_backward(&g, &self.saved[li]);
+            let gpart = max_pool2d_backward(&g, ix);
             gx.axpy(1.0, &gpart);
             col += f;
         }
         gx
     }
-
-    fn name(&self) -> String {
-        format!("SPP{:?}", self.levels)
-    }
 }
 
 // ------------------------------------------------------------------- Linear
 
-/// Fully-connected layer `y = x·W + b` with `W: [in, out]`.
+/// Fully-connected layer `y = x·W + b` with `W: [in, out]`. A hidden layer
+/// runs it with its ReLU fused into the GEMM's write-back
+/// ([`Linear::forward_relu`]).
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight matrix `[in_features, out_features]`.
     pub weight: Param,
     /// Bias `[out_features]`.
     pub bias: Param,
-    cached_input: Option<Tensor>,
 }
 
 impl Linear {
@@ -315,7 +222,6 @@ impl Linear {
                 true,
             ),
             bias: Param::new(Tensor::zeros([out_features]), false),
-            cached_input: None,
         }
     }
 
@@ -328,33 +234,41 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.weight.value.dims()[1]
     }
-}
 
-impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cached_input = Some(x.clone());
-        self.infer(x)
+    /// `x·W + b`.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.affine(x, Epilogue::BiasCols(self.bias.value.data()))
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
+    /// `max(0, x·W + b)`, the ReLU applied as the GEMM writes each tile
+    /// back: bit for bit [`Linear::forward`] followed by a separate ReLU.
+    pub fn forward_relu(&self, x: &Tensor) -> Tensor {
+        self.affine(x, Epilogue::BiasColsRelu(self.bias.value.data()))
+    }
+
+    /// `x·W` written back through `ep`.
+    fn affine(&self, x: &Tensor, ep: Epilogue) -> Tensor {
         let (m, k) = x.shape().matrix();
         assert_eq!(k, self.in_features(), "Linear: input features mismatch");
-        let y = dcd_tensor::gemm_bias(
+        let n = self.out_features();
+        let mut y = vec![0.0f32; m * n];
+        dcd_tensor::gemm_ep(
             x.data(),
+            Trans::No,
             self.weight.value.data(),
-            self.bias.value.data(),
+            Trans::No,
+            &mut y,
             m,
             k,
-            self.out_features(),
+            n,
+            ep,
         );
-        Tensor::from_vec([m, self.out_features()], y).expect("linear output")
+        Tensor::from_vec([m, n], y).expect("linear output")
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward before forward");
+    /// Backward of [`Linear::forward`] on `x`: accumulates the parameter
+    /// gradients and returns the input gradient.
+    pub fn backward(&mut self, x: &Tensor, grad_out: &Tensor) -> Tensor {
         let (m, k) = x.shape().matrix();
         let n = self.out_features();
         // grad += xᵀ (k×m) · go (m×n), read straight from x's [m, k] storage
@@ -385,104 +299,17 @@ impl Layer for Linear {
         Tensor::from_vec([m, k], gx).expect("gx")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    /// Backward of [`Linear::forward_relu`] on `x`, which returned `y`:
+    /// masks `grad_out` in place wherever `y` is not positive, then runs
+    /// [`Linear::backward`].
+    pub fn backward_relu(&mut self, x: &Tensor, y: &Tensor, mut grad_out: Tensor) -> Tensor {
+        mask_relu_grad(&mut grad_out, y);
+        self.backward(x, &grad_out)
     }
 
-    fn name(&self) -> String {
-        format!("Linear({}->{})", self.in_features(), self.out_features())
-    }
-}
-
-// --------------------------------------------------------------- Sequential
-
-/// A chain of boxed layers — [`crate::SppNet`]'s trunk.
-#[derive(Default)]
-pub struct Sequential {
-    layers: Vec<Box<dyn Layer + Send + Sync>>,
-}
-
-impl Sequential {
-    /// An empty chain.
-    pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
-    }
-
-    /// Appends a layer (builder style).
-    pub fn push(mut self, layer: impl Layer + Send + Sync + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// True if the chain has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-}
-
-impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        match self.layers.split_first_mut() {
-            None => x.clone(),
-            Some((first, rest)) => rest
-                .iter_mut()
-                .fold(first.forward(x), |cur, layer| layer.forward(&cur)),
-        }
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        match self.layers.split_first() {
-            None => x.clone(),
-            Some((first, rest)) => rest
-                .iter()
-                .fold(first.infer(x), |cur, layer| layer.infer(&cur)),
-        }
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match self.layers.split_last_mut() {
-            None => grad_out.clone(),
-            Some((last, rest)) => rest
-                .iter_mut()
-                .rev()
-                .fold(last.backward(grad_out), |cur, layer| layer.backward(&cur)),
-        }
-    }
-
-    /// Backpropagates through every layer but the first, which runs its
-    /// [`Layer::backward_params`]: the chain's input gradient is never
-    /// formed.
-    fn backward_params(&mut self, grad_out: &Tensor) {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return;
-        };
-        match rest.split_last_mut() {
-            None => first.backward_params(grad_out),
-            Some((last, mid)) => {
-                let g = mid
-                    .iter_mut()
-                    .rev()
-                    .fold(last.backward(grad_out), |cur, layer| layer.backward(&cur));
-                first.backward_params(&g);
-            }
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    fn name(&self) -> String {
-        let names: Vec<String> = self.layers.iter().map(|l| l.name()).collect();
-        format!("Sequential[{}]", names.join(", "))
+    /// Weight and bias.
+    pub fn params_mut(&mut self) -> [&mut Param; 2] {
+        [&mut self.weight, &mut self.bias]
     }
 }
 
@@ -507,9 +334,9 @@ mod tests {
     #[test]
     fn conv_block_forward_shape() {
         let mut r = rng();
-        let mut block = ConvBlock::new(4, 64, 5, &mut r);
+        let block = ConvBlock::new(4, 64, 5, &mut r);
         let x = Tensor::randn([2, 4, 10, 10], 0.0, 1.0, &mut r);
-        let y = block.forward(&x);
+        let (y, _) = block.forward(&x);
         assert_eq!(y.dims(), &[2, 64, 5, 5]);
     }
 
@@ -519,14 +346,14 @@ mod tests {
         let mut block = ConvBlock::new(1, 2, 3, &mut r);
         block.bias.value = Tensor::from_vec([2], vec![0.5, 0.5]).unwrap();
         let x = Tensor::randn([1, 1, 6, 6], 0.0, 1.0, &mut r);
-        let y = block.forward(&x);
-        block.backward(&Tensor::ones(y.shape().clone()));
+        let (y, argmax) = block.forward(&x);
+        let ones = Tensor::ones(y.shape().clone());
+        block.backward(&x, &y, &argmax, &ones, true);
         assert!(block.weight.grad.sq_norm() > 0.0);
         assert!(block.bias.grad.sq_norm() > 0.0);
         // Second backward accumulates (does not overwrite).
         let g1 = block.weight.grad.clone();
-        block.forward(&x);
-        block.backward(&Tensor::ones(y.shape().clone()));
+        block.backward(&x, &y, &argmax, &ones, true);
         assert!(block.weight.grad.max_abs_diff(&g1.scale(2.0)) < 1e-4);
     }
 
@@ -536,10 +363,12 @@ mod tests {
         let mut block = ConvBlock::new(2, 3, 3, &mut r);
         block.bias.value = Tensor::from_vec([3], vec![0.3, -0.2, 0.1]).unwrap();
         let x = Tensor::randn([2, 2, 6, 6], 0.0, 1.0, &mut r);
-        let y = block.forward(&x);
-        let gx = block.backward(&Tensor::ones(y.shape().clone()));
-
         let frozen = block.clone();
+        let (y, argmax) = block.forward(&x);
+        let gx = block
+            .backward(&x, &y, &argmax, &Tensor::ones(y.shape().clone()), true)
+            .expect("input gradient");
+
         let num = numeric_grad(&x, 1e-3, |xp| frozen.infer(xp).sum());
         assert!(
             rel_error(&gx, &num) < 1e-2,
@@ -570,7 +399,7 @@ mod tests {
         let x = Tensor::randn([2, 3, 9, 9], 0.0, 1.0, &mut r);
         let conv = dcd_tensor::conv2d(&x, &block.weight.value, &block.bias.value, 1, 1);
         let (want, _) = max_pool2d(&conv.map(|v| v.max(0.0)), 2, 2);
-        let y = block.forward(&x);
+        let (y, _) = block.forward(&x);
         assert!(y.max_abs_diff(&want) == 0.0);
         assert_bits_eq(&y, &block.infer(&x));
     }
@@ -586,9 +415,9 @@ mod tests {
             let mut block = ConvBlock::new(3, 4, 3, &mut r);
             block.bias.value = Tensor::from_vec([4], vec![0.3, -4.0, 0.0, -0.4]).unwrap();
             let x = Tensor::randn([2, 3, h, w], 0.0, 1.0, &mut r);
-            let y = block.forward(&x);
+            let (y, argmax) = block.forward(&x);
             let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut r);
-            let gx = block.backward(&go);
+            let gx = block.backward(&x, &y, &argmax, &go, true);
 
             let (wt, b, pad) = (&block.weight.value, &block.bias.value, block.pad());
             let act = conv2d_relu(&x, wt, b, 1, pad);
@@ -604,7 +433,7 @@ mod tests {
             let mut g = max_pool2d_backward(&go, &ix);
             mask_relu_grad(&mut g, &act);
             let want = conv2d_backward(&x, wt, &g, 1, pad);
-            assert_bits_eq(&gx, want.input.as_ref().unwrap());
+            assert_bits_eq(gx.as_ref().unwrap(), want.input.as_ref().unwrap());
             let mut want_w = Tensor::zeros(wt.shape().clone());
             want_w.axpy(1.0, &want.weight);
             assert_bits_eq(&block.weight.grad, &want_w);
@@ -614,74 +443,113 @@ mod tests {
         }
     }
 
-    /// Every parameter gradient's bits.
-    fn grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
-        layer
-            .params_mut()
-            .iter()
-            .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
-            .collect()
-    }
-
     #[test]
-    fn backward_params_leaves_backwards_param_grads() {
+    fn conv_block_without_input_grad_leaves_the_same_param_grads() {
         // Two accumulating steps each, so the skipped input gradient cannot
-        // hide behind zeroed gradients; a conv block alone (its override)
-        // and a chain that starts with one (Sequential's).
+        // hide behind zeroed gradients.
         let mut r = SeededRng::new(31);
         let x = Tensor::randn([3, 2, 9, 9], 0.0, 1.0, &mut r);
-        let block = ConvBlock::new(2, 4, 3, &mut r);
-        let chain = || {
-            let mut r = SeededRng::new(32);
-            Sequential::new()
-                .push(ConvBlock::new(2, 4, 3, &mut r))
-                .push(ConvBlock::new(4, 3, 3, &mut r))
-                .push(SppLayer::new([2, 1]))
-                .push(Linear::new(15, 2, &mut r))
+        let mut full = ConvBlock::new(2, 4, 3, &mut r);
+        let mut params_only = full.clone();
+        for _ in 0..2 {
+            let (y, argmax) = full.forward(&x);
+            let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut r);
+            let gx = full.backward(&x, &y, &argmax, &go, true);
+            assert_eq!(gx.expect("input gradient").dims(), x.dims());
+            let (y2, argmax2) = params_only.forward(&x);
+            assert_bits_eq(&y2, &y);
+            assert!(params_only
+                .backward(&x, &y2, &argmax2, &go, false)
+                .is_none());
+        }
+        let bits = |b: &mut ConvBlock| -> Vec<Vec<u32>> {
+            b.params_mut()
+                .iter()
+                .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
         };
-        let cases: [(Box<dyn Layer>, Box<dyn Layer>); 2] = [
-            (Box::new(block.clone()), Box::new(block)),
-            (Box::new(chain()), Box::new(chain())),
-        ];
-        for (mut full, mut params_only) in cases {
-            for _ in 0..2 {
-                let y = full.forward(&x);
-                let go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut r);
-                let gx = full.backward(&go);
-                assert_eq!(gx.dims(), x.dims());
-                assert_bits_eq(&params_only.forward(&x), &y);
-                params_only.backward_params(&go);
-            }
-            assert_eq!(grad_bits(&mut *full), grad_bits(&mut *params_only));
-            assert!(grad_bits(&mut *full).iter().flatten().any(|&b| b != 0));
-        }
+        assert_eq!(bits(&mut full), bits(&mut params_only));
+        assert!(bits(&mut full).iter().flatten().any(|&b| b != 0));
     }
 
     #[test]
-    fn every_layer_infers_what_it_forwards() {
+    fn every_pool_infers_what_it_forwards() {
         let mut r = rng();
-        let x4 = Tensor::randn([2, 3, 8, 8], 0.0, 1.0, &mut r);
-        let x2 = Tensor::randn([3, 6], 0.0, 1.0, &mut r);
-        let mut layers: Vec<(Box<dyn Layer>, &Tensor)> = vec![
-            (Box::new(ConvBlock::new(3, 2, 3, &mut r)), &x4),
-            (Box::new(SppLayer::new([3, 1])), &x4),
-            (Box::new(Linear::new(6, 4, &mut r)), &x2),
-            (Box::new(Relu::new()), &x2),
-        ];
-        for (layer, x) in &mut layers {
-            let y = layer.forward(x);
-            assert_bits_eq(&y, &layer.infer(x));
+        let x = Tensor::randn([2, 3, 8, 8], 0.0, 1.0, &mut r);
+        let block = ConvBlock::new(3, 2, 3, &mut r);
+        assert_bits_eq(&block.forward(&x).0, &block.infer(&x));
+        let spp = SppLayer::new([3, 1]);
+        assert_bits_eq(&spp.forward(&x).0, &spp.infer(&x));
+    }
+
+    /// The ReLU the FC trunk applied as a separate layer before it was
+    /// fused into the GEMM write-back.
+    fn separate_relu(v: f32) -> f32 {
+        if v > 0.0 {
+            v
+        } else {
+            0.0
+        }
+    }
+
+    /// A layer and input whose pre-activations include negative values,
+    /// zeros and NaN: zero weight columns under a −0 and a +0 bias, a −0
+    /// input, a NaN bias and, at batch > 1, a NaN input row.
+    fn relu_edge_case(batch: usize) -> (Linear, Tensor) {
+        let mut r = SeededRng::new(41);
+        let (k, n) = (7, 6);
+        let mut lin = Linear::new(k, n, &mut r);
+        lin.bias.value = Tensor::from_vec([n], vec![0.25, -0.0, 0.0, f32::NAN, -0.5, 0.1]).unwrap();
+        for row in lin.weight.value.data_mut().chunks_mut(n) {
+            row[1] = 0.0;
+            row[2] = 0.0;
+        }
+        let mut x = Tensor::randn([batch, k], 0.0, 1.0, &mut r);
+        x.data_mut()[0] = -0.0;
+        if batch > 1 {
+            x.data_mut()[k..2 * k].fill(f32::NAN);
+        }
+        (lin, x)
+    }
+
+    #[test]
+    fn linear_fused_relu_is_gemm_bias_then_relu_bitwise() {
+        for batch in [1, 5] {
+            let (lin, x) = relu_edge_case(batch);
+            let (w, b) = (&lin.weight.value, &lin.bias.value);
+            let (k, n) = (lin.in_features(), lin.out_features());
+            let pre = dcd_tensor::gemm_bias(x.data(), w.data(), b.data(), batch, k, n);
+            assert!(pre.iter().any(|&v| v < 0.0), "no negative pre-activation");
+            assert!(pre.contains(&0.0), "no zero pre-activation");
+            assert!(pre.iter().any(|v| v.is_nan()), "no NaN pre-activation");
+            let want = Tensor::from_vec([batch, n], pre)
+                .unwrap()
+                .map(separate_relu);
+            assert_bits_eq(&lin.forward_relu(&x), &want);
         }
     }
 
     #[test]
-    fn relu_zeroes_negatives_and_masks_grads() {
-        let mut relu = Relu::new();
-        let x = Tensor::from_vec([4], vec![-1., 2., -3., 4.]).unwrap();
-        let y = relu.forward(&x);
-        assert_eq!(y.data(), &[0., 2., 0., 4.]);
-        let g = relu.backward(&Tensor::ones([4]));
-        assert_eq!(g.data(), &[0., 1., 0., 1.]);
+    fn linear_relu_backward_is_masked_plain_backward_bitwise() {
+        for batch in [1, 5] {
+            let (mut fused, x) = relu_edge_case(batch);
+            let mut plain = fused.clone();
+            let y = fused.forward_relu(&x);
+            let mut go = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut SeededRng::new(7));
+            // A negative gradient on a zero output masks to −0.
+            for row in go.data_mut().chunks_mut(fused.out_features()) {
+                row[1] = -1.0;
+            }
+            let masked = go.zip(&y, |g, a| g * f32::from(a > 0.0));
+            assert!(masked
+                .data()
+                .iter()
+                .any(|v| v.to_bits() == (-0.0f32).to_bits()));
+            let gx = fused.backward_relu(&x, &y, go);
+            assert_bits_eq(&gx, &plain.backward(&x, &masked));
+            assert_bits_eq(&fused.weight.grad, &plain.weight.grad);
+            assert_bits_eq(&fused.bias.grad, &plain.bias.grad);
+        }
     }
 
     #[test]
@@ -700,8 +568,7 @@ mod tests {
         let mut r = rng();
         let mut lin = Linear::new(4, 3, &mut r);
         let x = Tensor::randn([2, 4], 0.0, 1.0, &mut r);
-        let y = lin.forward(&x);
-        let gx = lin.backward(&Tensor::ones(y.shape().clone()));
+        let gx = lin.backward(&x, &Tensor::ones([2, 3]));
 
         let w = lin.weight.value.clone();
         let b = lin.bias.value.clone();
@@ -729,11 +596,11 @@ mod tests {
     #[test]
     fn spp_layer_fixed_output_for_any_input_size() {
         let mut r = rng();
-        let mut spp = SppLayer::new([4, 2, 1]);
+        let spp = SppLayer::new([4, 2, 1]);
         assert_eq!(spp.out_features(256), 256 * 21);
         for &(h, w) in &[(12usize, 12usize), (25, 25), (7, 13)] {
             let x = Tensor::randn([2, 8, h, w], 0.0, 1.0, &mut r);
-            let y = spp.forward(&x);
+            let (y, _) = spp.forward(&x);
             assert_eq!(y.dims(), &[2, 8 * 21]);
         }
     }
@@ -742,13 +609,10 @@ mod tests {
     fn spp_backward_matches_numeric() {
         let mut r = rng();
         let x = Tensor::randn([1, 2, 6, 6], 0.0, 1.0, &mut r);
-        let mut spp = SppLayer::new([3, 1]);
-        let y = spp.forward(&x);
-        let gx = spp.backward(&Tensor::ones(y.shape().clone()));
-        let num = numeric_grad(&x, 1e-3, |xp| {
-            let mut s = SppLayer::new([3, 1]);
-            s.forward(xp).sum()
-        });
+        let spp = SppLayer::new([3, 1]);
+        let (y, argmax) = spp.forward(&x);
+        let gx = spp.backward(&x, &argmax, &Tensor::ones(y.shape().clone()));
+        let num = numeric_grad(&x, 1e-3, |xp| spp.infer(xp).sum());
         assert!(
             gx.max_abs_diff(&num) < 1e-2,
             "diff {}",
@@ -761,53 +625,8 @@ mod tests {
         // One channel; levels [1, 2]: first column is the global max, the
         // remaining four are the 2x2 adaptive maxima.
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 4.]).unwrap();
-        let mut spp = SppLayer::new([1, 2]);
-        let y = spp.forward(&x);
+        let spp = SppLayer::new([1, 2]);
+        let (y, _) = spp.forward(&x);
         assert_eq!(y.data(), &[4., 1., 2., 3., 4.]);
-    }
-
-    #[test]
-    fn sequential_chains_and_exposes_params() {
-        let mut r = rng();
-        let mut net = Sequential::new()
-            .push(ConvBlock::new(1, 4, 3, &mut r))
-            .push(SppLayer::new([2, 1]))
-            .push(Linear::new(4 * 5, 2, &mut r));
-        let x = Tensor::randn([3, 1, 8, 8], 0.0, 1.0, &mut r);
-        let y = net.forward(&x);
-        assert_eq!(y.dims(), &[3, 2]);
-        assert_bits_eq(&y, &net.infer(&x));
-        assert_eq!(net.params_mut().len(), 4); // conv w+b, linear w+b
-        let gx = net.backward(&Tensor::ones([3, 2]));
-        assert_eq!(gx.dims(), x.dims());
-    }
-
-    #[test]
-    fn sequential_end_to_end_gradient_check() {
-        let mut r = rng();
-        let mut net = Sequential::new()
-            .push(ConvBlock::new(1, 2, 3, &mut r))
-            .push(SppLayer::new([1]))
-            .push(Linear::new(2, 3, &mut r))
-            .push(Relu::new())
-            .push(Linear::new(3, 1, &mut r));
-        let x = Tensor::randn([1, 1, 4, 4], 0.0, 1.0, &mut r);
-        let y = net.forward(&x);
-        let gx = net.backward(&Tensor::ones(y.shape().clone()));
-
-        let num = numeric_grad(&x, 1e-2, |xp| net.infer(xp).sum());
-        assert!(
-            gx.max_abs_diff(&num) < 0.05,
-            "diff {}",
-            gx.max_abs_diff(&num)
-        );
-        assert!(gx.sq_norm() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backward before forward")]
-    fn backward_before_forward_panics() {
-        let mut relu = Relu::new();
-        relu.backward(&Tensor::ones([1]));
     }
 }

@@ -1,7 +1,7 @@
 //! Loss functions with analytic gradients.
 //!
 //! All losses return `(mean_loss, grad)` where `grad` is `d mean_loss / d
-//! input` — ready to feed straight into `Layer::backward`.
+//! input` — ready to feed straight into `SppNet::backward`.
 
 use dcd_tensor::Tensor;
 

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// A trainable tensor with its gradient accumulator and momentum buffer.
 ///
 /// Layers own their `Param`s; the optimizer walks them through
-/// [`crate::layers::Layer::params_mut`].
+/// [`crate::SppNet::params_mut`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     /// Current value.

@@ -12,11 +12,11 @@
 //! `∈ {128, 256, 512, 1024, 2048, 4096, 8192}`.
 
 use crate::detect::Detection;
-use crate::layers::{ConvBlock, Layer, Linear, Relu, Sequential, SppLayer};
+use crate::layers::{ConvBlock, Linear, SppLayer};
 use crate::loss::sigmoid;
 use crate::param::Param;
 use crate::BBox;
-use dcd_tensor::{SeededRng, Tensor};
+use dcd_tensor::{MaxIndices, SeededRng, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Sizes explored for the fully-connected layers (§4.2).
@@ -179,23 +179,43 @@ pub struct BlockGeometry {
 }
 
 /// The SPP-Net model: a trunk of [`CONV_BLOCKS`] C–P blocks, then the
-/// SPP layer and the FC layers with their ReLUs, feeding objectness and
-/// box heads.
+/// SPP layer and the FC layers with their fused ReLUs, feeding objectness
+/// and box heads.
 ///
-/// Training ([`SppNet::forward`]) and inference
-/// ([`SppNet::forward_inference`]) walk the same layers and differ only in
-/// calling [`Layer::forward`] or [`Layer::infer`], so their outputs are
-/// bit-identical. Inference can also start at any block
+/// The layers hold only their weights. A training forward
+/// ([`SppNet::forward`]) leaves a tape of what the backward pass reads,
+/// which the next [`SppNet::backward`] or
+/// [`SppNet::backward_params`] consumes. Inference
+/// ([`SppNet::forward_inference`]) runs the same kernels from `&self`,
+/// records nothing and gives the same bits. It can also start at any block
 /// ([`SppNet::forward_inference_from`]) from feature maps computed
 /// elsewhere — the scene scan's shared trunk.
 pub struct SppNet {
     /// The hyper-parameters this instance was built from.
     pub config: SppNetConfig,
     blocks: [ConvBlock; CONV_BLOCKS],
-    /// SPP, FC layers and their ReLUs.
-    fc: Sequential,
+    spp: SppLayer,
+    /// The hidden FC layers, each with its ReLU fused.
+    fc: Vec<Linear>,
     head_obj: Linear,
     head_box: Linear,
+    tape: Option<Tape>,
+}
+
+/// What one training forward pass leaves for the backward pass: every
+/// activation a layer's backward reads, each stored once.
+struct Tape {
+    /// The input, then each C–P block's pooled output: block `i` read
+    /// `maps[i]` and wrote `maps[i + 1]`. The input is the step's one copy.
+    maps: Vec<Tensor>,
+    /// Each C–P block's pool argmax.
+    pools: Vec<MaxIndices>,
+    /// Each SPP level's argmax.
+    spp: Vec<MaxIndices>,
+    /// The SPP output, then each hidden FC layer's ReLU output: FC layer
+    /// `i` read `features[i]` and wrote `features[i + 1]`, and the heads
+    /// read the last.
+    features: Vec<Tensor>,
 }
 
 impl SppNet {
@@ -204,8 +224,8 @@ impl SppNet {
         let [c1, c2, c3] = config.channels;
         // The draw order (fc1, fc2, box head, convs, objectness head) fixes
         // the weights a seed gives; keep it.
-        let fc1 = Linear::new(config.spp_features(), config.fc1, rng);
-        let fc2 = config.fc2.map(|f2| Linear::new(config.fc1, f2, rng));
+        let mut fc = vec![Linear::new(config.spp_features(), config.fc1, rng)];
+        fc.extend(config.fc2.map(|f2| Linear::new(config.fc1, f2, rng)));
         let trunk_out = config.fc2.unwrap_or(config.fc1);
         // Box-head prior: start from a centred, culvert-sized box with
         // near-zero weights (the detectron-style regression-head init), so
@@ -219,19 +239,14 @@ impl SppNet {
             ConvBlock::new(c1, c2, 3, rng),
             ConvBlock::new(c2, c3, 3, rng),
         ];
-        let mut fc = Sequential::new()
-            .push(SppLayer::new(config.spp_levels()))
-            .push(fc1)
-            .push(Relu::new());
-        if let Some(fc2) = fc2 {
-            fc = fc.push(fc2).push(Relu::new());
-        }
         SppNet {
             blocks,
+            spp: SppLayer::new(config.spp_levels()),
             fc,
             head_obj: Linear::new(trunk_out, 1, rng),
             head_box,
             config,
+            tape: None,
         }
     }
 
@@ -253,21 +268,41 @@ impl SppNet {
     }
 
     /// Training forward pass producing objectness logits and box
-    /// regressions; records what [`SppNet::backward`] needs.
+    /// regressions; records the tape [`SppNet::backward`] reads.
     pub fn forward(&mut self, x: &Tensor) -> DetectionOutput {
         let _span = dcd_obs::span("sppnet.forward", dcd_obs::Category::Nn);
-        let [b1, b2, b3] = &mut self.blocks;
-        let maps = b3.forward(&b2.forward(&b1.forward(x)));
-        let features = self.fc.forward(&maps);
-        DetectionOutput::from_heads(
-            self.head_obj.forward(&features),
-            self.head_box.forward(&features),
-        )
+        // An unread tape from an earlier pass goes before this one grows.
+        self.tape = None;
+        let mut maps = Vec::with_capacity(CONV_BLOCKS + 1);
+        maps.push(x.clone());
+        let mut pools = Vec::with_capacity(CONV_BLOCKS);
+        for block in &self.blocks {
+            let (y, pool) = block.forward(&maps[maps.len() - 1]);
+            maps.push(y);
+            pools.push(pool);
+        }
+        let (spp_out, spp) = self.spp.forward(&maps[CONV_BLOCKS]);
+        let mut features = Vec::with_capacity(self.fc.len() + 1);
+        features.push(spp_out);
+        for fc in &self.fc {
+            let y = fc.forward_relu(&features[features.len() - 1]);
+            features.push(y);
+        }
+        let trunk = &features[self.fc.len()];
+        let out =
+            DetectionOutput::from_heads(self.head_obj.forward(trunk), self.head_box.forward(trunk));
+        self.tape = Some(Tape {
+            maps,
+            pools,
+            spp,
+            features,
+        });
+        out
     }
 
-    /// Inference-only forward pass: the same layers as [`SppNet::forward`]
-    /// through [`Layer::infer`], so it needs only `&self`, records no
-    /// backward state and returns bit-identical outputs.
+    /// Inference-only forward pass: the kernels of [`SppNet::forward`]
+    /// without the argmax bookkeeping, so it needs only `&self`, records
+    /// nothing and returns bit-identical outputs.
     pub fn forward_inference(&self, x: &Tensor) -> DetectionOutput {
         self.forward_inference_from(0, x)
     }
@@ -282,55 +317,77 @@ impl SppNet {
             "block {block} out of range 0..={CONV_BLOCKS}"
         );
         let _span = dcd_obs::span("sppnet.forward_inference", dcd_obs::Category::Nn);
-        let features = match self.blocks[block..].split_first() {
-            None => self.fc.infer(x),
+        let pooled = match self.blocks[block..].split_first() {
+            None => self.spp.infer(x),
             Some((first, rest)) => {
                 let maps = rest.iter().fold(first.infer(x), |cur, b| b.infer(&cur));
-                self.fc.infer(&maps)
+                self.spp.infer(&maps)
             }
         };
-        DetectionOutput::from_heads(
-            self.head_obj.infer(&features),
-            self.head_box.infer(&features),
-        )
+        let trunk = self.fc.iter().fold(pooled, |cur, fc| fc.forward_relu(&cur));
+        DetectionOutput::from_heads(self.head_obj.forward(&trunk), self.head_box.forward(&trunk))
     }
 
     /// Backward pass from head gradients; returns `d loss / d input`.
+    /// Consumes the tape of the last [`SppNet::forward`], so each forward
+    /// pass backs one backward pass.
     pub fn backward(&mut self, grad_obj: &Tensor, grad_box: &Tensor) -> Tensor {
-        let g = self.heads_backward(grad_obj, grad_box);
-        let [b1, b2, b3] = &mut self.blocks;
-        b1.backward(&b2.backward(&b3.backward(&self.fc.backward(&g))))
+        self.backprop(grad_obj, grad_box, true)
+            .expect("input gradient requested")
     }
 
     /// [`SppNet::backward`] without `d loss / d input`, which training
     /// never reads: the same parameter gradients, bit for bit, and the
     /// first conv block skips its input-gradient GEMM and col2im.
     pub fn backward_params(&mut self, grad_obj: &Tensor, grad_box: &Tensor) {
-        let g = self.heads_backward(grad_obj, grad_box);
-        let [b1, b2, b3] = &mut self.blocks;
-        b1.backward_params(&b2.backward(&b3.backward(&self.fc.backward(&g))));
+        self.backprop(grad_obj, grad_box, false);
     }
 
-    /// Backpropagates through both heads; returns the trunk-output gradient.
-    fn heads_backward(&mut self, grad_obj: &Tensor, grad_box: &Tensor) -> Tensor {
+    /// Backpropagates the head gradients through every layer from the
+    /// tape, accumulating parameter gradients; returns `d loss / d input`
+    /// if `input_grad` is set.
+    fn backprop(
+        &mut self,
+        grad_obj: &Tensor,
+        grad_box: &Tensor,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let Tape {
+            maps,
+            pools,
+            spp,
+            features,
+        } = self
+            .tape
+            .take()
+            .expect("SppNet::backward before forward: each forward pass backs one backward pass");
+        let trunk = &features[self.fc.len()];
         let n = grad_obj.dims()[0];
-        let g_obj = self.head_obj.backward(&grad_obj.clone().reshape([n, 1]));
-        let g_box = self.head_box.backward(grad_box);
-        g_obj.add(&g_box)
+        let g_obj = self
+            .head_obj
+            .backward(trunk, &grad_obj.clone().reshape([n, 1]));
+        let g_box = self.head_box.backward(trunk, grad_box);
+        let mut g = g_obj.add(&g_box);
+        for (i, fc) in self.fc.iter_mut().enumerate().rev() {
+            g = fc.backward_relu(&features[i], &features[i + 1], g);
+        }
+        g = self.spp.backward(&maps[CONV_BLOCKS], &spp, &g);
+        for (i, block) in self.blocks.iter_mut().enumerate().rev() {
+            g = block.backward(&maps[i], &maps[i + 1], &pools[i], &g, i > 0 || input_grad)?;
+        }
+        Some(g)
     }
 
     /// All trainable parameters: conv blocks, FC layers, then the
     /// objectness and box heads (the [`crate::Checkpoint`] order).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params: Vec<&mut Param> = self
-            .blocks
+        self.blocks
             .iter_mut()
-            .flat_map(|b| b.params_mut())
-            .collect();
-        params.extend(self.fc.params_mut());
-        params.extend(self.head_obj.params_mut());
-        params.extend(self.head_box.params_mut());
-        params
+            .flat_map(ConvBlock::params_mut)
+            .chain(self.fc.iter_mut().flat_map(Linear::params_mut))
+            .chain(self.head_obj.params_mut())
+            .chain(self.head_box.params_mut())
+            .collect()
     }
 
     /// Total scalar parameter count.
@@ -473,20 +530,27 @@ mod tests {
 
     #[test]
     fn backward_params_accumulates_backwards_grads() {
+        // Two accumulating steps, so the skipped input gradient cannot hide
+        // behind zeroed gradients; a second FC layer puts a masked hidden
+        // layer in the chain.
         let mut r = rng();
+        let mut cfg = SppNetConfig::tiny();
+        cfg.fc2 = Some(16);
         let (mut a, mut b) = (
-            SppNet::new(SppNetConfig::tiny(), &mut SeededRng::new(4)),
-            SppNet::new(SppNetConfig::tiny(), &mut SeededRng::new(4)),
+            SppNet::new(cfg.clone(), &mut SeededRng::new(4)),
+            SppNet::new(cfg, &mut SeededRng::new(4)),
         );
         let x = Tensor::randn([3, 1, 16, 16], 0.0, 1.0, &mut r);
-        let (go, gb) = (
-            Tensor::randn([3], 0.0, 1.0, &mut r),
-            Tensor::randn([3, 4], 0.0, 1.0, &mut r),
-        );
-        a.forward(&x);
-        a.backward(&go, &gb);
-        b.forward(&x);
-        b.backward_params(&go, &gb);
+        for _ in 0..2 {
+            let (go, gb) = (
+                Tensor::randn([3], 0.0, 1.0, &mut r),
+                Tensor::randn([3, 4], 0.0, 1.0, &mut r),
+            );
+            a.forward(&x);
+            assert_eq!(a.backward(&go, &gb).dims(), x.dims());
+            b.forward(&x);
+            b.backward_params(&go, &gb);
+        }
         let bits = |net: &mut SppNet| -> Vec<u32> {
             net.params_mut()
                 .iter()
@@ -494,6 +558,14 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&mut a), bits(&mut b));
+        assert!(bits(&mut a).iter().any(|&v| v != 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "SppNet::backward before forward")]
+    fn backward_before_forward_panics() {
+        let mut net = SppNet::new(SppNetConfig::tiny(), &mut rng());
+        net.backward(&Tensor::ones([1]), &Tensor::ones([1, 4]));
     }
 
     #[test]

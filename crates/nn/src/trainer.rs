@@ -159,40 +159,16 @@ impl Trainer {
         validation: &[Sample],
         iou_threshold: f32,
     ) -> (Vec<EpochStats>, f32) {
-        assert!(!train.is_empty(), "cannot train on an empty dataset");
         assert!(!validation.is_empty(), "need validation samples");
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut rng = SeededRng::new(self.config.shuffle_seed);
-        let mut history = Vec::with_capacity(self.config.epochs);
         let mut best_ap = f32::NEG_INFINITY;
         let mut best_weights: Option<Vec<Tensor>> = None;
-        for epoch in 0..self.config.epochs {
-            let _epoch_span = dcd_obs::span("train.epoch", dcd_obs::Category::Train);
-            rng.shuffle(&mut order);
-            let sgd = self.epoch_sgd(epoch);
-            let mut sums = (0.0f32, 0.0f32, 0.0f32);
-            let mut batches = 0usize;
-            for chunk in order.chunks(self.config.batch_size) {
-                let batch: Vec<&Sample> = chunk.iter().map(|&i| &train[i]).collect();
-                let (t, o, b) = self.train_batch_with(model, &batch, sgd);
-                sums.0 += t;
-                sums.1 += o;
-                sums.2 += b;
-                batches += 1;
-            }
-            let inv = 1.0 / batches.max(1) as f32;
-            history.push(EpochStats {
-                epoch,
-                loss: sums.0 * inv,
-                obj_loss: sums.1 * inv,
-                box_loss: sums.2 * inv,
-            });
+        let history = self.run_epochs(model, train, |model| {
             let (ap, _) = evaluate(model, validation, iou_threshold);
             if ap > best_ap {
                 best_ap = ap;
                 best_weights = Some(model.params_mut().iter().map(|p| p.value.clone()).collect());
             }
-        }
+        });
         if let Some(weights) = best_weights {
             for (p, w) in model.params_mut().iter_mut().zip(weights) {
                 p.value = w;
@@ -203,6 +179,18 @@ impl Trainer {
 
     /// Full training run; returns per-epoch statistics.
     pub fn train(&self, model: &mut SppNet, samples: &[Sample]) -> Vec<EpochStats> {
+        self.run_epochs(model, samples, |_| {})
+    }
+
+    /// The epoch loop: each epoch reshuffles, applies the learning-rate
+    /// decay, trains every minibatch and records its mean losses, then
+    /// hands the model to `after_epoch`.
+    fn run_epochs(
+        &self,
+        model: &mut SppNet,
+        samples: &[Sample],
+        mut after_epoch: impl FnMut(&mut SppNet),
+    ) -> Vec<EpochStats> {
         assert!(!samples.is_empty(), "cannot train on an empty dataset");
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut rng = SeededRng::new(self.config.shuffle_seed);
@@ -228,6 +216,7 @@ impl Trainer {
                 obj_loss: sums.1 * inv,
                 box_loss: sums.2 * inv,
             });
+            after_epoch(model);
         }
         history
     }
@@ -383,6 +372,35 @@ mod tests {
         // The restored weights actually reproduce the best validation AP.
         let (restored_ap, _) = evaluate(&selected, &val, 0.1);
         assert!((restored_ap - best_ap).abs() < 1e-6);
+    }
+
+    #[test]
+    fn validation_leaves_the_epoch_losses_bitwise() {
+        // Decay every other epoch, so both runs also share the rate schedule.
+        let data = toy_dataset(6, 6, 6);
+        let val = toy_dataset(3, 3, 7);
+        let tc = TrainConfig {
+            epochs: 4,
+            batch_size: 5,
+            sgd: Sgd::new(0.02, 0.9, 0.0005),
+            lr_decay_every: Some(2),
+            ..Default::default()
+        };
+        let mut plain = SppNet::new(SppNetConfig::tiny(), &mut SeededRng::new(12));
+        let mut selected = SppNet::new(SppNetConfig::tiny(), &mut SeededRng::new(12));
+        let bits = |h: &[EpochStats]| -> Vec<(usize, [u32; 3])> {
+            h.iter()
+                .map(|e| {
+                    let l = [e.loss, e.obj_loss, e.box_loss];
+                    (e.epoch, l.map(f32::to_bits))
+                })
+                .collect()
+        };
+        let history = Trainer::new(tc).train(&mut plain, &data);
+        let (validated, _) =
+            Trainer::new(tc).train_with_validation(&mut selected, &data, &val, 0.1);
+        assert_eq!(history.len(), 4);
+        assert_eq!(bits(&history), bits(&validated));
     }
 
     #[test]
