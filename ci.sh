@@ -35,12 +35,17 @@ cargo test -q --workspace
 echo "== dcd-tensor suites on the AVX2 fallback (target-cpu=x86-64-v3) =="
 RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 cargo test -q -p dcd-tensor
 
+# The direct-convolution property suite runs in each leg as well: on the
+# AVX2 build above every narrow layer routes back to the packed path, and a
+# batch smaller than the pool shares its tiles out between threads.
 echo "== kernel equivalence under a pinned-sequential pool =="
 RAYON_NUM_THREADS=1 cargo test -q -p dcd-tensor --test parallel_equivalence
+RAYON_NUM_THREADS=1 cargo test -q -p dcd-tensor --test direct_conv
 
 # An odd pool size shares the GEMM's block grids unevenly between threads.
 echo "== kernel equivalence under an odd pool (RAYON_NUM_THREADS=3) =="
 RAYON_NUM_THREADS=3 cargo test -q -p dcd-tensor --test parallel_equivalence
+RAYON_NUM_THREADS=3 cargo test -q -p dcd-tensor --test direct_conv
 
 # The shared conv trunk must reproduce the per-tile scan bit for bit
 # whatever the pool size: scene passes, ring convs and tile assembly all

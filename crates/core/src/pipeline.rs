@@ -7,8 +7,7 @@
 use crate::resilience::{retry_inference, RetryPolicy, RunHealth};
 use dcd_gpusim::{DeviceSpec, FaultPlan, Gpu};
 use dcd_ios::{
-    ios_schedule, lower_sppnet, measure_latency, sequential_schedule, Executor, IosOptions,
-    Schedule, StageCostModel,
+    ios_schedule, lower_sppnet, sequential_schedule, Executor, IosOptions, Schedule, StageCostModel,
 };
 use dcd_nas::{Evaluator, Experiment, ExplorationStrategy};
 use dcd_nn::SppNetConfig;
@@ -38,9 +37,9 @@ pub struct PipelineConfig {
     pub warmup: usize,
     /// Measured iterations per latency measurement.
     pub iterations: usize,
-    /// Faults injected into the [`Pipeline::benchmark`] measurements (use
-    /// [`FaultPlan::none`] for a healthy device). The batch sweep always
-    /// runs healthy.
+    /// Faults injected into every latency measurement, the
+    /// [`Pipeline::benchmark`] and the [`Pipeline::batch_sweep`] alike (use
+    /// [`FaultPlan::none`] for a healthy device).
     pub fault_plan: FaultPlan,
     /// Retry policy the benchmark measurements run under.
     pub retry: RetryPolicy,
@@ -174,6 +173,9 @@ pub struct PipelineResult {
     pub winner: SppNetConfig,
     /// Batch-size sweep of the winner.
     pub batch_sweep: Vec<BatchPoint>,
+    /// Faults seen and recovery actions taken while sweeping (all-zero on
+    /// a healthy device).
+    pub sweep_health: RunHealth,
     /// Batch size chosen by the diminishing-gains rule (§6.4; paper: 32).
     pub optimal_batch: usize,
 }
@@ -231,7 +233,7 @@ impl Pipeline {
     /// Mean latency of one schedule at one batch size, ns: every inference
     /// runs on a device with the configured fault plan, under the retry
     /// policy, and tallies into `health`. With an empty plan this is
-    /// [`measure_latency`], bit for bit.
+    /// [`dcd_ios::measure_latency`], bit for bit.
     fn measure(
         &self,
         graph: &dcd_ios::Graph,
@@ -258,38 +260,34 @@ impl Pipeline {
     /// Sweeps batch sizes for one configuration, re-optimizing the schedule
     /// per batch size like the paper does (§6.4).
     pub fn batch_sweep(&self, config: &SppNetConfig) -> Vec<BatchPoint> {
+        self.batch_sweep_with_health(config).0
+    }
+
+    /// [`Pipeline::batch_sweep`] plus the [`RunHealth`] of its
+    /// measurements, which run through the same [`Pipeline::measure`] path
+    /// as the benchmark — on a device with the configured fault plan.
+    pub fn batch_sweep_with_health(&self, config: &SppNetConfig) -> (Vec<BatchPoint>, RunHealth) {
         let _span = dcd_obs::span("pipeline.batch_sweep", dcd_obs::Category::Pipeline);
         let graph = lower_sppnet(config, self.config.input_hw);
         let seq = sequential_schedule(&graph);
-        self.config
+        let mut health = RunHealth::default();
+        let sweep = self
+            .config
             .batch_sizes
             .iter()
             .map(|&batch| {
                 let mut cost = StageCostModel::new(&graph, self.config.device.clone(), batch);
                 let opt = ios_schedule(&graph, &mut cost, self.config.ios);
-                let t_seq = measure_latency(
-                    &graph,
-                    &seq,
-                    batch,
-                    &self.config.device,
-                    self.config.warmup,
-                    self.config.iterations,
-                );
-                let t_opt = measure_latency(
-                    &graph,
-                    &opt,
-                    batch,
-                    &self.config.device,
-                    self.config.warmup,
-                    self.config.iterations,
-                );
+                let t_seq = self.measure(&graph, &seq, batch, &mut health);
+                let t_opt = self.measure(&graph, &opt, batch, &mut health);
                 BatchPoint {
                     batch,
-                    sequential_ns_per_image: t_seq.efficiency_ns_per_image(),
-                    optimized_ns_per_image: t_opt.efficiency_ns_per_image(),
+                    sequential_ns_per_image: t_seq / batch as f64,
+                    optimized_ns_per_image: t_opt / batch as f64,
                 }
             })
-            .collect()
+            .collect();
+        (sweep, health)
     }
 
     /// §6.4's optimal batch: the last batch size that still improves
@@ -350,13 +348,14 @@ impl Pipeline {
                 .expect("finite latencies")
         });
         let winner = candidates[0].config.clone();
-        let batch_sweep = self.batch_sweep(&winner);
+        let (batch_sweep, sweep_health) = self.batch_sweep_with_health(&winner);
         let optimal_batch = Self::pick_optimal_batch(&batch_sweep);
         PipelineResult {
             experiment,
             candidates,
             winner,
             batch_sweep,
+            sweep_health,
             optimal_batch,
         }
     }
@@ -365,6 +364,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_ios::measure_latency;
     use dcd_nas::{FunctionalEvaluator, RandomSearch, SppNetSearchSpace};
 
     fn quick_config() -> PipelineConfig {
@@ -411,6 +411,7 @@ mod tests {
         }
         assert_eq!(result.winner, result.candidates[0].config);
         assert_eq!(result.batch_sweep.len(), 3);
+        assert!(result.sweep_health.is_clean());
     }
 
     #[test]
@@ -424,6 +425,7 @@ mod tests {
         assert_eq!(back.winner, result.winner);
         assert_eq!(back.optimal_batch, result.optimal_batch);
         assert_eq!(back.candidates.len(), result.candidates.len());
+        assert_eq!(back.sweep_health, result.sweep_health);
     }
 
     #[test]
@@ -472,6 +474,51 @@ mod tests {
         let clean = Pipeline::new(quick_config());
         let (_, _, _, h2) = clean.benchmark_with_health(&SppNetConfig::original());
         assert!(h2.is_clean());
+    }
+
+    #[test]
+    fn healthy_sweep_is_measure_latency_bitwise() {
+        let p = Pipeline::new(quick_config());
+        let config = SppNetConfig::candidate2();
+        let (sweep, health) = p.batch_sweep_with_health(&config);
+        assert!(health.is_clean());
+        let graph = lower_sppnet(&config, p.config.input_hw);
+        let (warmup, iterations) = (p.config.warmup, p.config.iterations);
+        let seq = sequential_schedule(&graph);
+        for (point, &batch) in sweep.iter().zip(&p.config.batch_sizes) {
+            let mut cost = StageCostModel::new(&graph, p.config.device.clone(), batch);
+            let opt = ios_schedule(&graph, &mut cost, p.config.ios);
+            let latency = |s: &Schedule| {
+                measure_latency(&graph, s, batch, &p.config.device, warmup, iterations)
+                    .efficiency_ns_per_image()
+            };
+            assert_eq!(point.batch, batch);
+            assert_eq!(
+                point.sequential_ns_per_image.to_bits(),
+                latency(&seq).to_bits()
+            );
+            assert_eq!(
+                point.optimized_ns_per_image.to_bits(),
+                latency(&opt).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn faulted_sweep_records_retries() {
+        use dcd_gpusim::FaultPlan;
+        let mut cfg = quick_config();
+        cfg.fault_plan = FaultPlan {
+            seed: 3,
+            launch_failure_rate: 0.02,
+            ..FaultPlan::none()
+        };
+        let p = Pipeline::new(cfg);
+        let (sweep, health) = p.batch_sweep_with_health(&SppNetConfig::candidate2());
+        assert_eq!(sweep.len(), p.config.batch_sizes.len());
+        assert!(sweep.iter().all(|b| b.optimized_ns_per_image > 0.0));
+        assert!(health.faults_seen() > 0, "fault plan injected nothing");
+        assert!(health.retries > 0, "faults were not retried");
     }
 
     #[test]

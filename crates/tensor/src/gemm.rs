@@ -37,7 +37,11 @@
 //! no data-dependent branches, narrowed for skinny problems. At full size
 //! it is 6×32 on AVX-512 builds: 12 zmm accumulators, written with
 //! `core::arch` intrinsics because LLVM keeps autovectorized code to
-//! 256-bit vectors there (`fma_tile_zmm`, the crate's one `unsafe` block).
+//! 256-bit vectors there (`fma_tile_zmm`). The pack-free direct
+//! convolution's tiles (`direct_tile`, `direct_gw_tile`) and its 16-window
+//! pool (`max_pool2x2_x16`) sit beside it: this module holds the crate's
+//! only `unsafe` blocks, each behind an assert that bounds every pointer it
+//! forms, with a portable fallback for builds without AVX-512.
 //! Every other tile, and the full-size 6×16 tile (12 ymm accumulators) of
 //! builds without AVX-512, is left to LLVM's autovectorizer (the workspace
 //! builds with `target-cpu=native`, see `.cargo/config.toml`). The
@@ -527,6 +531,317 @@ fn fma_tile_zmm<const MR: usize>(apanel: &[f32], bpanel: &[f32], kdim: usize, ac
             _mm512_storeu_ps(c.add(i * 32 + 16), r[1]);
         }
     }
+}
+
+// ------------------------------------------- pack-free direct convolution
+
+/// The taps a pack-free direct convolution tile reads from a zero-padded
+/// NCHW image (`c` planes of `plane` floats, rows of `wp`): tap
+/// `p = (ci·kh + ki)·kw + kj` of the pixel at padded offset `q` is at
+/// `q + ci·plane + ki·wp + kj`. Constructed only through
+/// [`DirectWindow::new`], so `reach` is the largest tap offset.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DirectWindow {
+    c: usize,
+    kh: usize,
+    kw: usize,
+    plane: usize,
+    wp: usize,
+    reach: usize,
+}
+
+impl DirectWindow {
+    pub(crate) fn new(c: usize, (kh, kw): (usize, usize), (hp, wp): (usize, usize)) -> Self {
+        assert!(
+            c > 0 && kh > 0 && kw > 0 && kh <= hp && kw <= wp,
+            "empty window"
+        );
+        let plane = hp * wp;
+        DirectWindow {
+            c,
+            kh,
+            kw,
+            plane,
+            wp,
+            reach: (c - 1) * plane + (kh - 1) * wp + kw - 1,
+        }
+    }
+
+    /// Taps per window, `c·kh·kw`.
+    pub(crate) fn k(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+}
+
+/// How a [`direct_tile`] writes its finished chains `v`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TileOut<'a> {
+    /// `out = v + bias[i]`, through `max(0, ·)` when the flag is set.
+    Bias(&'a [f32], bool),
+    /// `out += v`.
+    Accumulate,
+}
+
+/// One `MR`-channel × `16·Z`-pixel tile of the pack-free direct
+/// convolution: pixels `q0..q0 + 16·Z` of the zero-padded image `xp`
+/// (consecutive offsets, see [`DirectWindow`]) against `panel`, `MR` rows
+/// of the weights tap-major (`panel[p·MR + i]`, rows past `c_out` zero).
+/// Writes channel `i`'s pixels to `out[i·ld..]` through the epilogue
+/// `ep`.
+///
+/// Each tap's pixels are one contiguous run of the image, so they load as
+/// vectors straight from it, and the weights broadcast: the packed GEMM's
+/// tile with the image in place of a packed slab. Each output element is
+/// one `mul_add` chain over the taps `p` ascending from `+0.0`, then the
+/// epilogue — `+ bias`, then `max(0, ·)`, or `+=` — of the packed GEMM.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn direct_tile<const MR: usize, const Z: usize>(
+    xp: &[f32],
+    q0: usize,
+    win: &DirectWindow,
+    panel: &[f32],
+    ep: TileOut,
+    out: &mut [f32],
+    ld: usize,
+) {
+    assert!(
+        xp.len() >= q0 + 16 * Z + win.reach
+            && panel.len() >= win.k() * MR
+            && !matches!(ep, TileOut::Bias(b, _) if b.len() < MR)
+            && ld >= 16 * Z
+            && out.len() >= (MR - 1) * ld + 16 * Z,
+        "direct_tile: operands shorter than the tile"
+    );
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    {
+        use core::arch::x86_64::{
+            _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_max_ps, _mm512_set1_ps,
+            _mm512_setzero_ps, _mm512_storeu_ps,
+        };
+        let (x, w, o) = (xp.as_ptr(), panel.as_ptr(), out.as_mut_ptr());
+        // SAFETY: the assert above bounds every access. Tap `(ci, ki, kj)`
+        // reads pixels `q0 + ci·plane + ki·wp + kj + 16·z + lane ≤ q0 +
+        // 16·Z − 1 + reach < xp.len()` (`reach` is the largest tap offset,
+        // fixed by `DirectWindow::new`); tap `p` reads weights `p·MR + i <
+        // k·MR`, and the bias (when given) `MR` lanes; row `i` loads and
+        // stores lanes `i·ld .. i·ld + 16·Z`, inside `out`.
+        // All loads and stores are unaligned-tolerant, and `avx512f` is
+        // enabled at compile time by the `cfg` on this block.
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); Z]; MR];
+            let mut wrow = w;
+            for ci in 0..win.c {
+                for ki in 0..win.kh {
+                    let row = x.add(q0 + ci * win.plane + ki * win.wp);
+                    for kj in 0..win.kw {
+                        let xs = row.add(kj);
+                        let xv: [_; Z] = std::array::from_fn(|z| _mm512_loadu_ps(xs.add(16 * z)));
+                        for (i, a) in acc.iter_mut().enumerate() {
+                            let wv = _mm512_set1_ps(*wrow.add(i));
+                            for (a, &xv) in a.iter_mut().zip(&xv) {
+                                *a = _mm512_fmadd_ps(wv, xv, *a);
+                            }
+                        }
+                        wrow = wrow.add(MR);
+                    }
+                }
+            }
+            let zero = _mm512_setzero_ps();
+            for (i, a) in acc.iter().enumerate() {
+                for (z, &a) in a.iter().enumerate() {
+                    let at = o.add(i * ld + 16 * z);
+                    let v = match ep {
+                        TileOut::Bias(bias, relu) => {
+                            let v = _mm512_add_ps(a, _mm512_set1_ps(bias[i]));
+                            // `max(v, 0)` returns its second operand unless
+                            // `v > 0`: NaN and −0 map to +0, as `relu` does.
+                            if relu {
+                                _mm512_max_ps(v, zero)
+                            } else {
+                                v
+                            }
+                        }
+                        TileOut::Accumulate => _mm512_add_ps(_mm512_loadu_ps(at), a),
+                    };
+                    _mm512_storeu_ps(at, v);
+                }
+            }
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    {
+        let mut acc = [[[0.0f32; 16]; Z]; MR];
+        let mut p = 0;
+        for ci in 0..win.c {
+            for ki in 0..win.kh {
+                let row = q0 + ci * win.plane + ki * win.wp;
+                for kj in 0..win.kw {
+                    let xs = &xp[row + kj..row + kj + 16 * Z];
+                    for (a, &wv) in acc.iter_mut().zip(&panel[p * MR..p * MR + MR]) {
+                        for (a, &xv) in a.as_flattened_mut().iter_mut().zip(xs) {
+                            *a = wv.mul_add(xv, *a);
+                        }
+                    }
+                    p += 1;
+                }
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            let dst = &mut out[i * ld..i * ld + 16 * Z];
+            for (d, &a) in dst.iter_mut().zip(a.as_flattened()) {
+                *d = match ep {
+                    TileOut::Bias(bias, true) => relu(a + bias[i]),
+                    TileOut::Bias(bias, false) => a + bias[i],
+                    TileOut::Accumulate => *d + a,
+                };
+            }
+        }
+    }
+}
+
+/// A `T`-tap × `16·Z`-channel tile of the direct convolution's weight
+/// gradient: `out[t·16·Z + c] = Σ_j x_t(j)·gy[j·ld + c]` over the `oh·ow`
+/// output positions `j = oy·ow + ox` in ascending order, one `mul_add`
+/// chain per element from `+0.0` — the packed weight-gradient GEMM's chain.
+/// `xh` is a channel-last zero-padded image from the tile's first tap on:
+/// tap `t` of position `(oy, ox)` is `xh[oy·row_step + ox·col_step + t]`.
+/// `gy` holds the gradient w.r.t. the convolution output channel-last,
+/// `ld` floats per position; lanes it holds past the real channels feed
+/// only accumulators the caller discards.
+#[inline(always)]
+pub(crate) fn direct_gw_tile<const T: usize, const Z: usize>(
+    xh: &[f32],
+    (oh, ow): (usize, usize),
+    (row_step, col_step): (usize, usize),
+    (gy, ld): (&[f32], usize),
+    out: &mut [f32],
+) {
+    assert!(
+        oh > 0
+            && ow > 0
+            && xh.len() >= (oh - 1) * row_step + (ow - 1) * col_step + T
+            && gy.len() >= (oh * ow - 1) * ld + 16 * Z
+            && out.len() == T * 16 * Z,
+        "direct_gw_tile: operands shorter than the tile"
+    );
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    {
+        use core::arch::x86_64::{
+            _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+        };
+        let (x, g, o) = (xh.as_ptr(), gy.as_ptr(), out.as_mut_ptr());
+        // SAFETY: the assert above bounds every access. Position `(oy, ox)`
+        // reads taps `oy·row_step + ox·col_step + t ≤ (oh − 1)·row_step +
+        // (ow − 1)·col_step + T − 1 < xh.len()` and gradient lanes `j·ld ..
+        // j·ld + 16·Z` with `j < oh·ow`, inside `gy`; the stores cover
+        // `out[..T·16·Z]` exactly. All loads and stores are
+        // unaligned-tolerant, and `avx512f` is enabled at compile time by
+        // the `cfg` on this block.
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); Z]; T];
+            let mut grow = g;
+            for oy in 0..oh {
+                let mut xs = x.add(oy * row_step);
+                for _ in 0..ow {
+                    let gv: [_; Z] = std::array::from_fn(|z| _mm512_loadu_ps(grow.add(16 * z)));
+                    for (t, a) in acc.iter_mut().enumerate() {
+                        let xv = _mm512_set1_ps(*xs.add(t));
+                        for (a, &gv) in a.iter_mut().zip(&gv) {
+                            *a = _mm512_fmadd_ps(xv, gv, *a);
+                        }
+                    }
+                    xs = xs.add(col_step);
+                    grow = grow.add(ld);
+                }
+            }
+            for (t, a) in acc.iter().enumerate() {
+                for (z, &a) in a.iter().enumerate() {
+                    _mm512_storeu_ps(o.add((t * Z + z) * 16), a);
+                }
+            }
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    {
+        let mut acc = [[[0.0f32; 16]; Z]; T];
+        let mut j = 0;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let at = oy * row_step + ox * col_step;
+                let xs = &xh[at..at + T];
+                let gv = &gy[j * ld..j * ld + 16 * Z];
+                for (a, &xv) in acc.iter_mut().zip(xs) {
+                    for (a, gv) in a.iter_mut().zip(gv.chunks_exact(16)) {
+                        for (a, &gv) in a.iter_mut().zip(gv) {
+                            *a = xv.mul_add(gv, *a);
+                        }
+                    }
+                }
+                j += 1;
+            }
+        }
+        out.copy_from_slice(acc.as_flattened().as_flattened());
+    }
+}
+
+/// The 2×2/2 max pool of 16 windows at once: `top` and `bottom` hold the
+/// windows' two rows, 32 consecutive pixels each. Window `t` scans pixels
+/// `2t`, `2t + 1` of `top`, then of `bottom`, from `-∞` with a strict `>`
+/// (ties and NaNs keep the earlier pixel); returns each window's max and
+/// which of its four pixels won (0 when nothing beats `-∞`).
+#[inline(always)]
+pub(crate) fn max_pool2x2_x16(top: &[f32; 32], bottom: &[f32; 32]) -> ([f32; 16], [u32; 16]) {
+    let mut best = [f32::NEG_INFINITY; 16];
+    let mut sel = [0u32; 16];
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    {
+        use core::arch::x86_64::{
+            _mm512_cmp_ps_mask, _mm512_loadu_ps, _mm512_mask_blend_epi32, _mm512_mask_blend_ps,
+            _mm512_permutex2var_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setr_epi32,
+            _mm512_setzero_si512, _mm512_storeu_ps, _mm512_storeu_si512, _CMP_GT_OQ,
+        };
+        // SAFETY: the loads read the two 32-float rows, 16 lanes at a time,
+        // and the stores write the two 16-lane results, all in bounds by
+        // the argument types; loads and stores are unaligned-tolerant, and
+        // `avx512f` is enabled at compile time by the `cfg` on this block.
+        unsafe {
+            let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+            let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
+            let split = |row: &[f32; 32]| {
+                let (lo, hi) = (
+                    _mm512_loadu_ps(row.as_ptr()),
+                    _mm512_loadu_ps(row.as_ptr().add(16)),
+                );
+                (
+                    _mm512_permutex2var_ps(lo, even, hi),
+                    _mm512_permutex2var_ps(lo, odd, hi),
+                )
+            };
+            let ((a0, a1), (b0, b1)) = (split(top), split(bottom));
+            let mut b = _mm512_set1_ps(f32::NEG_INFINITY);
+            let mut s = _mm512_setzero_si512();
+            for (i, x) in (0i32..).zip([a0, a1, b0, b1]) {
+                // Ordered `x > b`: false for a NaN, as the scalar `>`.
+                let gt = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, b);
+                b = _mm512_mask_blend_ps(gt, b, x);
+                s = _mm512_mask_blend_epi32(gt, s, _mm512_set1_epi32(i));
+            }
+            _mm512_storeu_ps(best.as_mut_ptr(), b);
+            _mm512_storeu_si512(sel.as_mut_ptr().cast(), s);
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    for (t, (b, s)) in best.iter_mut().zip(&mut sel).enumerate() {
+        let window = [top[2 * t], top[2 * t + 1], bottom[2 * t], bottom[2 * t + 1]];
+        for (i, x) in (0u32..).zip(window) {
+            if x > *b {
+                *b = x;
+                *s = i;
+            }
+        }
+    }
+    (best, sel)
 }
 
 /// Where a sweep writes its rows of `C`.

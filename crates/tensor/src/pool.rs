@@ -191,9 +191,10 @@ fn window_max(input: &Tensor, windows: Windows, argmax: Option<&mut [usize]>) ->
 /// scanned row-major from `-∞` with a strict `>` so ties (and NaNs) keep
 /// the earlier element. Returns the max and the winner's entry of `at`,
 /// the four elements' indices in scan order (0 when nothing beats `-∞`).
-/// Every 2×2 pool in the crate runs this, so any two of them given the
-/// same four values agree bit for bit; callers that need no index pass
-/// zeros, and the index bookkeeping compiles away.
+/// Every 2×2 pool in the crate runs this scan — the direct convolution's
+/// pool runs it 16 windows at a time (`gemm::max_pool2x2_x16`) — so any two
+/// of them given the same four values agree bit for bit; callers that need
+/// no index pass zeros, and the index bookkeeping compiles away.
 #[inline(always)]
 fn max2x2(a: &[f32], b: &[f32], at: [usize; 4]) -> (f32, usize) {
     let mut best = f32::NEG_INFINITY;
