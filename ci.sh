@@ -51,11 +51,14 @@ RAYON_NUM_THREADS=3 cargo test -q -p dcd-tensor --test direct_conv
 # whatever the pool size: scene passes, ring convs and tile assembly all
 # split work between threads, and an odd pool splits it unevenly. Resilient
 # scans run the same trunk, so their equivalence and fault suites run too.
+# The scratch test checks that those convs grow no scratch buffer after a
+# per-tile warm-up, which a pool of 1 or 3 threads shares out differently.
 for threads in 1 3; do
     echo "== shared-trunk scan equivalence (RAYON_NUM_THREADS=$threads) =="
     RAYON_NUM_THREADS=$threads cargo test -q -p dcd-core --lib -- \
         shared_trunk_matches_per_tile_scan_bitwise tile_maps_equal_the_per_tile_trunk_bitwise \
         resilient_scan_matches_plain_scan_under_transient_faults
+    RAYON_NUM_THREADS=$threads cargo test -q -p dcd-core --test shared_trunk_scratch
     RAYON_NUM_THREADS=$threads cargo test -q --test resilience
 done
 

@@ -1,19 +1,20 @@
-//! Packed GEMM microbenchmark at the SPP-Net layer shapes.
+//! GEMM and convolution microbenchmark at the SPP-Net layer shapes.
 //!
-//! Times the packed register-blocked kernel on the square 256³ problem and
-//! on the GEMMs behind conv1, conv2, conv3 and fc1 of the paper's
+//! Times the register-blocked GEMM on the square 256³ problem and on the
+//! products behind conv1, conv2, conv3 and fc1 of the paper's
 //! architecture — conv1/conv2 at batch 1, 8 and 32, conv3 at 1 and 32, fc1
 //! both for the original 5376→1024 config and for candidate 2's 7680→4096
 //! layer (126 MB of weights), at the scan's batch of 32, its ragged last
 //! chunk of 9 and batch-1 queries.
 //!
 //! Convolution rows time the whole `conv2d_relu` call on a 3×3, pad-1
-//! layer, so they include packing the weights and packing each slab of
-//! im2col columns straight from the input image.
+//! layer, through whichever routine it takes: the pack-free direct one on
+//! AVX-512 hosts, elsewhere the packed one, packing the weights and each
+//! slab of im2col columns straight from the input image.
 //!
-//! `packed_ms` is taken under `rayon::force_sequential`, a single-thread
-//! kernel time. `packed_pool_ms` times the same call on the full pool
-//! (`threads` workers) for cross-referencing with `BENCH_parallel.json`.
+//! `single_ms` is taken under `rayon::force_sequential`, a single-thread
+//! kernel time. `pool_ms` times the same call on the full pool (`threads`
+//! workers) for cross-referencing with `BENCH_parallel.json`.
 //!
 //! Conv-block rows (`conv_blocks`) time a whole C–P unit of candidate 2 —
 //! conv1/2/3 at batch 1 and 32 — as the fused `conv2d_relu_pool` against
@@ -46,8 +47,8 @@ struct KernelTiming {
     k: usize,
     n: usize,
     batch: usize,
-    packed_ms: f64,
-    packed_pool_ms: f64,
+    single_ms: f64,
+    pool_ms: f64,
 }
 
 /// One conv block's timings, milliseconds (best of `REPS` runs): the fused
@@ -124,11 +125,11 @@ fn best_ms(f: impl FnMut()) -> f64 {
 fn report(
     name: &str,
     (m, k, n, batch): (usize, usize, usize, usize),
-    packed_ms: f64,
-    packed_pool_ms: f64,
+    single_ms: f64,
+    pool_ms: f64,
 ) -> KernelTiming {
     println!(
-        "{name:18} m={m:5} k={k:5} n={n:6} b={batch:2}   packed {packed_ms:9.2} ms   pool {packed_pool_ms:9.2} ms"
+        "{name:18} m={m:5} k={k:5} n={n:6} b={batch:2}   single {single_ms:9.2} ms   pool {pool_ms:9.2} ms"
     );
     KernelTiming {
         name: name.to_string(),
@@ -136,8 +137,8 @@ fn report(
         k,
         n,
         batch,
-        packed_ms,
-        packed_pool_ms,
+        single_ms,
+        pool_ms,
     }
 }
 
@@ -148,7 +149,7 @@ fn time_gemm(name: &str, m: usize, k: usize, n: usize) -> KernelTiming {
     let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
     let mut c = vec![0.0f32; m * n];
-    let mut packed = || {
+    let mut call = || {
         gemm_ep(
             &a,
             Trans::No,
@@ -162,9 +163,9 @@ fn time_gemm(name: &str, m: usize, k: usize, n: usize) -> KernelTiming {
         );
         std::hint::black_box(&mut c);
     };
-    let packed_ms = best_ms(&mut packed);
-    let packed_pool_ms = best_pool_ms(&mut packed);
-    report(name, (m, k, n, 1), packed_ms, packed_pool_ms)
+    let single_ms = best_ms(&mut call);
+    let pool_ms = best_pool_ms(&mut call);
+    report(name, (m, k, n, 1), single_ms, pool_ms)
 }
 
 /// Times a 3×3, pad-1 `conv2d_relu` layer of `c_out` filters over a batch
@@ -176,12 +177,12 @@ fn time_conv(name: &str, c_in: usize, hw: usize, c_out: usize, batch: usize) -> 
     let x = Tensor::randn([batch, c_in, hw, hw], 0.0, 1.0, &mut rng);
     let w = Tensor::randn([c_out, c_in, 3, 3], 0.0, 0.1, &mut rng);
     let bias = Tensor::randn([c_out], 0.0, 0.1, &mut rng);
-    let mut packed = || {
+    let mut call = || {
         std::hint::black_box(conv2d_relu(&x, &w, &bias, 1, 1));
     };
-    let packed_ms = best_ms(&mut packed);
-    let packed_pool_ms = best_pool_ms(&mut packed);
-    report(name, (m, k, n, batch), packed_ms, packed_pool_ms)
+    let single_ms = best_ms(&mut call);
+    let pool_ms = best_pool_ms(&mut call);
+    report(name, (m, k, n, batch), single_ms, pool_ms)
 }
 
 /// Times one 3×3, pad-1 C–P block of `c_out` filters over a batch of

@@ -774,7 +774,9 @@ mod tests {
         // stride and strides at or past the patch (sharing none), every
         // conv1 kernel of the search space, on a 71×58 raster that no
         // stride divides. Batch 5 leaves ragged last chunks and tile rows
-        // split across chunks, some into one-tile groups.
+        // split across chunks, some into one-tile groups. Where conv3
+        // shares, a 7×7 or 9×9 conv1 leaves its ring a 4-row top strip and
+        // a 2-row bottom one: two convolutions of different heights.
         let bands = Tensor::uniform([4, 58, 71], 0.0, 1.0, &mut SeededRng::new(12));
         for kernel in dcd_nn::sppnet::CONV1_KERNEL_CHOICES {
             let detector = untrained(kernel, 40 + kernel as u64);

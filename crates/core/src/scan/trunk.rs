@@ -26,22 +26,26 @@
 //! side worked out from the floor for odd sizes. Per tile, the activation
 //! positions under every pooling window the band touches are recomputed
 //! from the tile's own zero-padded map. These positions form up to four
-//! strips, the ring. The top and bottom strips read only a few rows of the
-//! tile's map, the side strips a few columns, so each pair is computed by
-//! `conv2d_relu_at` on a small map stacked from just those windows: two
-//! dense GEMMs per tile. For candidate 2 at stride 50 the ring is 784 conv1
-//! positions (the 396-pixel band rounded out to whole windows) and 384
-//! conv2 positions of each tile's 10 000 and 2 500. A 1×1 conv1 has no
-//! ring.
+//! strips, the ring. A strip's outputs read only its rectangle grown by
+//! `p`, with zeros past the map's edge, so each strip gets that window as
+//! its own input, and a valid convolution over it returns exactly the
+//! strip. Strips of one shape share a convolution: the top and bottom
+//! strips make one, the side strips another. Under a 7×7 conv1, conv3's
+//! ring has four shapes: 4-row top and 2-row bottom strips, and side
+//! strips 4 and 2 columns wide. For candidate 2 at stride 50 the ring is
+//! 784 conv1 positions (the 396-pixel band rounded out to whole windows)
+//! and 384 conv2 positions of each tile's 10 000 and 2 500. A 1×1 conv1
+//! has no ring.
 //!
 //! **Why the bits match.** Every convolution output, in the scene pass
 //! and in a ring, is one `mul_add` chain over the same taps in the same
-//! order as in the per-tile pass, because it is the same kernel. Outside
-//! the band its taps read the same values; scene-edge taps read the zero
-//! border the scene pass keeps around its region; ring outputs read the
-//! tile's own zero padding. Pools take the same four values in the same
-//! order through the same kernel. Normalization is per pixel, so the
-//! scene pass and the ring inputs normalize as they read the raster.
+//! order as in the per-tile pass, whichever conv routine computes it.
+//! Outside the band its taps read the same values; scene-edge taps read
+//! the zero border the scene pass keeps around its region; ring outputs
+//! read the zeros their window holds where the tile's padding would be.
+//! Pools take the same four values in the same order through the same
+//! kernel. Normalization is per pixel, so the scene pass and the ring
+//! inputs normalize as they read the raster.
 //!
 //! **Memory and scratch.** The scene-wide maps live in plain `Vec`s that
 //! hold only the rows the current chunk's tiles, and the next band pass,
@@ -49,13 +53,13 @@
 //! passes run as zero-padding convolutions over tile-shaped blocks with a
 //! halo, and ring inputs are a few rows or columns of a tile, so each asks
 //! the scratch arena for at most the buffers a per-tile pass asks for.
+//! The ring convolutions take whichever routine their shape gets: the
+//! side strips, two columns wide, run packed.
 
 use super::ScanConfig;
 use dcd_geodata::normalize_reflectance;
 use dcd_nn::{BlockGeometry, SppNet, CONV_BLOCKS};
-use dcd_tensor::{
-    conv2d_relu, conv2d_relu_at, conv2d_relu_pool, max_pool2x2_at, MapLayout, Tensor,
-};
+use dcd_tensor::{conv2d_relu, conv2d_relu_pool, max_pool2x2_at, MapLayout, Tensor};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -76,41 +80,27 @@ pub(super) fn shared_levels(model: &SppNet, patch: usize, stride: usize) -> usiz
     }
 }
 
-/// A window of a tile's input map that a ring input holds: its rows and
-/// columns in the tile's map, and the top-left corner it lands on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Window {
-    rows: Range<usize>,
-    cols: Range<usize>,
-    at: (usize, usize),
-}
-
-/// One of a ring's two convolutions: a small `dims` map stacked from
-/// windows of the tile's input map — its top and bottom rows, or its left
-/// and right columns — and the output positions computed on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Part {
-    dims: (usize, usize),
-    windows: Vec<Window>,
-    positions: Vec<usize>,
-}
-
 /// A rectangle of a tile's activation that its ring recomputes, pooled on
-/// its own: rows and columns in the tile's activation (even-aligned), the
-/// part that computes it and where its values start in that part's output.
+/// its own: rows and columns in the tile's activation, even-aligned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Strip {
     rows: Range<usize>,
     cols: Range<usize>,
-    part: usize,
-    offset: usize,
+}
+
+impl Strip {
+    /// Rows × columns of the strip.
+    fn dims(&self) -> (usize, usize) {
+        (self.rows.len(), self.cols.len())
+    }
 }
 
 /// One tile's ring at one level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Ring {
-    parts: Vec<Part>,
-    strips: Vec<Strip>,
+    /// The strips, grouped by shape: each group is one valid convolution,
+    /// its strips side by side in the batch.
+    groups: Vec<Vec<Strip>>,
     /// Pooled rows (and columns) the tile shares with the scene.
     clean: Range<usize>,
     /// Leading and trailing pooled rows that may differ, which become the
@@ -123,13 +113,9 @@ impl Ring {
     /// whose input may differ from the scene's in `lead` leading and
     /// `trail` trailing rows (and columns).
     ///
-    /// Each strip's outputs read its rectangle grown by `pad` on every
-    /// side, clipped to the map; past the map the taps read zeros. So a
-    /// strip can be computed on just that window, zero-padded, and the
-    /// windows of the top and bottom strips stack into one small map (the
-    /// left and right ones sit side by side in another): no tap of a strip
-    /// reaches its neighbour's window, since a window is only clipped where
-    /// the map ends.
+    /// Each strip's outputs read only its rectangle grown by `pad` on every
+    /// side, with zeros past the map's edge. A valid convolution over that
+    /// window returns exactly the strip.
     fn new(side: usize, pad: usize, (lead, trail): (usize, usize)) -> Ring {
         let np = side / 2;
         // Activation rows that may differ, from each side.
@@ -139,58 +125,25 @@ impl Ring {
         let tail = (np - ((side - e1) / 2).min(np)).min(np - head);
         let (lo, hi) = (2 * head, 2 * (np - tail));
         let full = 0..2 * np;
-        let grow = |r: &Range<usize>| r.start.saturating_sub(pad)..(r.end + pad).min(side);
-        let pairs = [
-            [(0..lo, full.clone()), (hi..2 * np, full.clone())],
-            [(lo..hi, 0..lo), (lo..hi, hi..2 * np)],
+        let strips = [
+            (0..lo, full.clone()),
+            (hi..2 * np, full),
+            (lo..hi, 0..lo),
+            (lo..hi, hi..2 * np),
         ];
-        let (mut parts, mut strips) = (Vec::new(), Vec::new());
-        for (vertical, pair) in [true, false].into_iter().zip(pairs) {
-            let live: Vec<_> = pair
-                .into_iter()
-                .filter(|(r, c)| !r.is_empty() && !c.is_empty())
-                .collect();
-            if live.is_empty() {
+        let mut groups: Vec<Vec<Strip>> = Vec::new();
+        for (rows, cols) in strips {
+            let strip = Strip { rows, cols };
+            if strip.rows.is_empty() || strip.cols.is_empty() {
                 continue;
             }
-            let mut part = Part {
-                dims: (0, 0),
-                windows: Vec::new(),
-                positions: Vec::new(),
-            };
-            for (rows, cols) in &live {
-                let (wr, wc) = (grow(rows), grow(cols));
-                let (h, w) = part.dims;
-                let at = if vertical { (h, 0) } else { (0, w) };
-                part.dims = if vertical {
-                    (h + wr.len(), wc.len())
-                } else {
-                    (wr.len(), w + wc.len())
-                };
-                part.windows.push(Window {
-                    rows: wr,
-                    cols: wc,
-                    at,
-                });
+            match groups.iter_mut().find(|g| g[0].dims() == strip.dims()) {
+                Some(group) => group.push(strip),
+                None => groups.push(vec![strip]),
             }
-            for ((rows, cols), win) in live.into_iter().zip(&part.windows) {
-                strips.push(Strip {
-                    rows: rows.clone(),
-                    cols: cols.clone(),
-                    part: parts.len(),
-                    offset: part.positions.len(),
-                });
-                for y in rows {
-                    let row = (y - win.rows.start + win.at.0) * part.dims.1;
-                    let col = |x: usize| x - win.cols.start + win.at.1;
-                    part.positions.extend(cols.clone().map(|x| row + col(x)));
-                }
-            }
-            parts.push(part);
         }
         Ring {
-            parts,
-            strips,
+            groups,
             clean: head..np - tail,
             band: (head, tail),
         }
@@ -313,9 +266,9 @@ impl Level {
     /// Writes the window `rows × cols` of one tile's pooled map into `dst`
     /// at `to` (the window's top-left corner there): the clean square from
     /// the kept map, for the tile whose input map starts at `(y, x)` of
-    /// the level's input, and each strip pooled from the tile's ring
-    /// values, sample `i` of `rings` (one `[N, C_out, positions]` tensor
-    /// per part).
+    /// the level's input, and each strip pooled from tile `i`'s ring
+    /// values in `rings`, one `[N·m, C_out, rows, cols]` tensor per group
+    /// of `m` strips, strip `j` of tile `i` at sample `i·m + j`.
     fn assemble(
         &self,
         (y, x): (usize, usize),
@@ -339,24 +292,20 @@ impl Level {
                 max_pool2x2_at(&self.band.data, from, dst, at, size);
             }
         }
-        for s in &self.ring.strips {
-            let pooled = |r: &Range<usize>| r.start / 2..r.end / 2;
-            let (sr, sc) = (clip(&pooled(&s.rows), &rows), clip(&pooled(&s.cols), &cols));
-            if sr.is_empty() || sc.is_empty() {
-                continue;
+        for (group, ring) in self.ring.groups.iter().zip(rings) {
+            for (j, s) in group.iter().enumerate() {
+                let pooled = |r: &Range<usize>| r.start / 2..r.end / 2;
+                let (sr, sc) = (clip(&pooled(&s.rows), &rows), clip(&pooled(&s.cols), &cols));
+                if sr.is_empty() || sc.is_empty() {
+                    continue;
+                }
+                let from = MapLayout::dense(0, s.dims())
+                    .at((2 * sr.start - s.rows.start, 2 * sc.start - s.cols.start));
+                let at = to.at((sr.start - rows.start, sc.start - cols.start));
+                let per = c * s.rows.len() * s.cols.len();
+                let values = &ring.data()[(i * group.len() + j) * per..][..per];
+                max_pool2x2_at(values, from, dst, at, (c, sr.len(), sc.len()));
             }
-            let ring = &rings[s.part];
-            let per = ring.numel() / ring.dims()[0];
-            let width = s.cols.len();
-            let from = MapLayout {
-                origin: s.offset + (2 * sr.start - s.rows.start) * width + 2 * sc.start
-                    - s.cols.start,
-                channel_stride: per / c,
-                row_stride: width,
-            };
-            let at = to.at((sr.start - rows.start, sc.start - cols.start));
-            let values = &ring.data()[i * per..(i + 1) * per];
-            max_pool2x2_at(values, from, dst, at, (c, sr.len(), sc.len()));
         }
     }
 }
@@ -387,7 +336,7 @@ pub(super) struct SharedTrunk<'a> {
     /// Shape `[C, H, W]` of one tile's input to the rest of the network.
     tile_dims: [usize; 3],
     /// Spare buffers for scene-pass halos and ring inputs, whose every
-    /// element each use overwrites.
+    /// element each use writes.
     spare: Vec<Vec<f32>>,
 }
 
@@ -492,19 +441,19 @@ impl<'a> SharedTrunk<'a> {
             .collect();
         self.advance(origins[0].0..=origins[origins.len() - 1].0);
         let mut spare = std::mem::take(&mut self.spare);
-        // The previous level's ring values, one tensor per part.
+        // The previous level's ring values, one tensor per strip group.
         let mut below: Vec<Tensor> = Vec::new();
         for (l, level) in self.levels.iter().enumerate() {
             let block = self.model.block(l);
             let (w, b) = (&block.weight.value, &block.bias.value);
             below = level
                 .ring
-                .parts
+                .groups
                 .iter()
-                .map(|part| {
+                .map(|group| {
                     let buf = spare.pop().unwrap_or_default();
-                    let x = self.ring_input(l, part, &origins, &below, buf);
-                    let ring = conv2d_relu_at(&x, w, b, (1, level.geom.pad), &part.positions);
+                    let x = self.ring_input(l, group, &origins, &below, buf);
+                    let ring = conv2d_relu(&x, w, b, 1, 0);
                     spare.push(x.into_vec());
                     ring
                 })
@@ -522,39 +471,45 @@ impl<'a> SharedTrunk<'a> {
             });
     }
 
-    /// Level `l`'s ring input `part` for every tile: its windows of the
-    /// tile's input map ([`SharedTrunk::input_window`]) stacked per tile,
-    /// in `buf`.
+    /// Level `l`'s ring input for one group of same-shaped strips, in
+    /// `buf`: each tile's strips side by side in the batch, each the
+    /// strip's window of the tile's input map grown by the conv's pad
+    /// ([`SharedTrunk::input_window`]), zero past the map's edge.
     fn ring_input(
         &self,
         l: usize,
-        part: &Part,
+        group: &[Strip],
         origins: &[(usize, usize)],
         below: &[Tensor],
         mut buf: Vec<f32>,
     ) -> Tensor {
-        let (h, w) = part.dims;
-        let c_in = self.levels[l].geom.c_in;
-        // The part's windows cover it: every element is written below.
-        buf.resize(origins.len() * c_in * h * w, 0.0);
-        buf.par_chunks_mut(c_in * h * w)
+        let BlockGeometry { c_in, pad, .. } = self.levels[l].geom;
+        let side = self.levels[l].side;
+        let (h, w) = group[0].dims();
+        let (h, w) = (h + 2 * pad, w + 2 * pad);
+        // The window's part on the map, and the zero rows (or columns)
+        // before that part where the window starts off the map.
+        let grow = |r: &Range<usize>| r.start.saturating_sub(pad)..(r.end + pad).min(side);
+        let zeros = |r: &Range<usize>| pad - r.start.min(pad);
+        buf.resize(origins.len() * group.len() * c_in * h * w, 0.0);
+        buf.par_chunks_mut(group.len() * c_in * h * w)
             .zip(origins.par_iter())
             .enumerate()
             .for_each(|(i, (dst, &origin))| {
-                for win in &part.windows {
-                    let to = MapLayout::dense(0, (h, w)).at(win.at);
-                    let window = (win.rows.clone(), win.cols.clone());
+                for (s, dst) in group.iter().zip(dst.chunks_exact_mut(c_in * h * w)) {
+                    dst.fill(0.0);
+                    let to = MapLayout::dense(0, (h, w)).at((zeros(&s.rows), zeros(&s.cols)));
+                    let window = (grow(&s.rows), grow(&s.cols));
                     self.input_window(l, origin, (below, i), window, dst, to);
                 }
             });
-        Tensor::from_vec([origins.len(), c_in, h, w], buf).expect("ring input")
+        Tensor::from_vec([origins.len() * group.len(), c_in, h, w], buf).expect("ring input")
     }
 
     /// Writes the window `rows × cols` of level `l`'s input map of the
     /// tile whose origin is raster cell `(y, x)` into `dst` at `to`: the
     /// raster window at `l = 0`, and otherwise level `l − 1`'s pooled map,
-    /// rebuilt from its kept map and the tile's ring values, sample `i` of
-    /// `below`.
+    /// rebuilt from its kept map and tile `i`'s ring values in `below`.
     fn input_window(
         &self,
         l: usize,
@@ -747,8 +702,13 @@ mod tests {
         assert_eq!(shared_levels(&model(2), 100, 50), 0);
     }
 
-    /// Ring sizes from the first level down, for a tile side and the
-    /// conv pads in order.
+    /// The strips of a ring, whatever their group.
+    fn strips(ring: &Ring) -> impl Iterator<Item = &Strip> {
+        ring.groups.iter().flatten()
+    }
+
+    /// Ring sizes (the strips' activation area) from the first level down,
+    /// for a tile side and the conv pads in order.
     fn ring_sizes(side: usize, pads: &[usize]) -> Vec<usize> {
         let (mut side, mut band) = (side, (0, 0));
         pads.iter()
@@ -756,7 +716,7 @@ mod tests {
                 let ring = Ring::new(side, pad, band);
                 band = ring.band;
                 side /= 2;
-                ring.parts.iter().map(|p| p.positions.len()).sum()
+                strips(&ring).map(|s| s.rows.len() * s.cols.len()).sum()
             })
             .collect()
     }
@@ -780,6 +740,24 @@ mod tests {
         assert_eq!(ring_sizes(100, &[2, 1, 1]), vec![784, 384, 176]);
         assert_eq!(ring_sizes(100, &[3, 1, 1]), vec![1536, 736, 252]);
         assert_eq!(ring_sizes(100, &[4, 1, 1]), vec![1536, 736, 252]);
+        // Under a 7×7 conv1, conv3's 25×25 map has a 4-row top strip and a
+        // 2-row bottom one, and side strips 4 and 2 columns wide: four
+        // shapes, four convolutions. 3×3 convs pair them up.
+        let dims = |side, pad, band| {
+            let ring = Ring::new(side, pad, band);
+            ring.groups
+                .iter()
+                .map(|g| g.iter().map(Strip::dims).collect())
+                .collect::<Vec<Vec<_>>>()
+        };
+        assert_eq!(
+            dims(25, 1, (2, 2)),
+            vec![vec![(4, 24)], vec![(2, 24)], vec![(18, 4)], vec![(18, 2)]]
+        );
+        assert_eq!(
+            dims(100, 1, (0, 0)),
+            vec![vec![(2, 100), (2, 100)], vec![(96, 2), (96, 2)]]
+        );
         for pad in 0..=4 {
             let (side, mut band) = (100, (0, 0));
             let mut side = side;
@@ -787,11 +765,7 @@ mod tests {
                 let ring = Ring::new(side, p, band);
                 let np = side / 2;
                 // Strips and clean interior tile the pooled map exactly.
-                let pooled: usize = ring
-                    .strips
-                    .iter()
-                    .map(|s| s.rows.len() * s.cols.len() / 4)
-                    .sum();
+                let pooled: usize = strips(&ring).map(|s| s.rows.len() * s.cols.len() / 4).sum();
                 assert_eq!(pooled + ring.clean.len().pow(2), np * np);
                 // The band a pool window touches is inside the ring.
                 let (e0, e1) = (band.0 + p, band.1 + p);

@@ -1,6 +1,7 @@
 //! 2-D convolution, forward and backward, by two routines chosen per call
 //! from the shape: the packed im2col GEMM, and for stride-1 layers a
-//! pack-free direct convolution (the `direct` submodule).
+//! pack-free direct convolution (the `direct` submodule). Every call
+//! computes whole output maps.
 //!
 //! Layout conventions:
 //! * input  `[N, C_in, H, W]`
@@ -11,23 +12,23 @@
 //! **Dispatch.** [`conv2d`], [`conv2d_relu`], [`conv2d_relu_pool`] (and its
 //! tracked variant), [`conv2d_backward`] and [`conv2d_relu_pool_backward`]
 //! pick the routine once per call, in one place (`Pick`, over the
-//! `direct` submodule's crossovers): on AVX-512 builds every stride-1
-//! forward runs direct; a stride-1 backward into at most 64 channels runs
-//! direct when it wants no input gradient or its input channels fill a
-//! tile; everything else runs packed, as does
-//! [`conv2d_relu_at`] always. The routines agree bit for bit — every
-//! element keeps one `mul_add` chain in the same order, the same bias add,
-//! ReLU, pool scan and argmax, the same col2im sum order — so the choice
-//! is speed alone, and the `conv2d`/`conv2d.backward` spans and the
-//! `conv.flops` counter read the same either way.
+//! `direct` submodule's crossovers): on AVX-512 builds a stride-1 forward
+//! runs direct unless its map is so narrow that half or more of each
+//! padded row would be computed and dropped; a direct-routed backward into
+//! at most 64 channels stays direct when it wants no input gradient or its
+//! input channels fill a tile; everything else runs packed. The routines
+//! agree bit for bit — every element keeps one `mul_add` chain in the same
+//! order, the same bias add, ReLU, pool scan and argmax, the same col2im
+//! sum order — so the choice is speed alone, and the
+//! `conv2d`/`conv2d.backward` spans and the `conv.flops` counter read the
+//! same either way.
 //!
 //! The batch dimension is embarrassingly parallel; forward and backward both
 //! fan out over samples with rayon and reduce weight gradients with in-order
 //! combination (no shared mutable state). A forward batch smaller than
 //! the pool (batch-1 queries) instead shares each sample's work out between
 //! threads: the packed path's column slabs, the direct path's channel
-//! panels. [`conv2d_relu_at`] runs the packed forward over an explicit list
-//! of output positions, such as a tile's border ring.
+//! panels.
 //!
 //! **Packed forward.** The weight matrix is packed once per call
 //! ([`PackedLhs`]) and shared read-only by every sample. The im2col matrix
@@ -205,72 +206,35 @@ fn pad_into(x: &[f32], g: &Geom, xp: &mut [f32]) {
     }
 }
 
-/// The output columns a forward call computes for each sample: the whole
-/// `OH·OW` map, or an explicit list of linear output positions `oy·OW +
-/// ox`.
-#[derive(Debug, Clone, Copy)]
-enum Columns<'a> {
-    Map(usize),
-    At(&'a [usize]),
-}
-
-impl Columns<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Columns::Map(n) => *n,
-            Columns::At(ps) => ps.len(),
-        }
-    }
-}
-
-/// Packs one column-panel of a sample's im2col matrix — columns `j0..j0 +
-/// width` of `cols` — straight from the zero-padded image `xp` (see
+/// Packs one column-panel of a sample's im2col matrix — output positions
+/// `j0..j0 + width` — straight from the zero-padded image `xp` (see
 /// [`pad_into`]) into `panel`, in the GEMM's packed-`B` layout: `nr =
 /// panel.len() / k` lanes per `k`-step, so element `(p, jj)` lands at
 /// `p·nr + jj`.
 ///
 /// Every lane is written — those past a ragged last panel's `width` with
 /// 0 — so `panel` may hold stale data on entry.
-fn pack_panel(xp: &[f32], g: &Geom, cols: Columns, j0: usize, width: usize, panel: &mut [f32]) {
+fn pack_panel(xp: &[f32], g: &Geom, j0: usize, width: usize, panel: &mut [f32]) {
     let (hp, wp, s) = (g.h + 2 * g.pad, g.w + 2 * g.pad, g.stride);
     let nr = panel.len() / (g.c * g.kh * g.kw);
-    // The panel's columns split into runs of consecutive positions along
-    // an output row: a run fills lanes `lane..lane + len` from `xp[tap +
-    // off + t·stride]`, where `tap` is the offset of window position `(ci,
-    // ki, kj)`.
+    // The panel's columns split into runs along output rows: a run fills
+    // lanes `lane..lane + len` from `xp[tap + off + t·stride]`, where `tap`
+    // is the offset of window position `(ci, ki, kj)`.
     let mut runs = [(0usize, 0usize, 0usize); NR_MAX];
     let mut nruns = 0;
-    match cols {
-        // A full map's columns run along output rows.
-        Columns::Map(_) => {
-            let (mut oy, mut ox, mut lane) = (j0 / g.ow, j0 % g.ow, 0);
-            while lane < width {
-                let len = (g.ow - ox).min(width - lane);
-                runs[nruns] = (lane, len, oy * s * wp + ox * s);
-                nruns += 1;
-                lane += len;
-                oy += 1;
-                ox = 0;
-            }
-        }
-        Columns::At(ps) => {
-            let mut prev = usize::MAX;
-            for (lane, &p) in ps[j0..j0 + width].iter().enumerate() {
-                if nruns > 0 && p == prev + 1 && !p.is_multiple_of(g.ow) {
-                    runs[nruns - 1].1 += 1;
-                } else {
-                    let (oy, ox) = (p / g.ow, p % g.ow);
-                    runs[nruns] = (lane, 1, oy * s * wp + ox * s);
-                    nruns += 1;
-                }
-                prev = p;
-            }
-        }
+    let (mut oy, mut ox, mut lane) = (j0 / g.ow, j0 % g.ow, 0);
+    while lane < width {
+        let len = (g.ow - ox).min(width - lane);
+        runs[nruns] = (lane, len, oy * s * wp + ox * s);
+        nruns += 1;
+        lane += len;
+        oy += 1;
+        ox = 0;
     }
     let runs = &runs[..nruns];
-    // Many short runs (a ring's side strips, two lanes a row) gather lane
-    // by lane instead: a call per two-float copy would cost more than the
-    // copy.
+    // Many short runs (a map a few columns wide, such as a ring's side
+    // strip) gather lane by lane instead: a call per two-float copy would
+    // cost more than the copy.
     if nruns > 4 {
         return gather_panel(xp, g, runs, width, panel);
     }
@@ -331,12 +295,11 @@ fn gather_panel(
     }
 }
 
-/// One forward call's shared state: the geometry, the columns each sample
-/// computes and the routine that computes them.
+/// One forward call's shared state: the geometry and the routine that
+/// computes each sample's whole output map.
 struct Forward<'a> {
     g: Geom,
     c_out: usize,
-    cols: Columns<'a>,
     route: Route<'a>,
 }
 
@@ -441,7 +404,6 @@ impl<'a> Forward<'a> {
         bias: &'a Tensor,
         (stride, pad): (usize, usize),
         relu: bool,
-        positions: Option<&'a [usize]>,
         pick: Pick,
     ) -> Self {
         let (n, c_in, h, w) = input.shape().nchw();
@@ -462,37 +424,19 @@ impl<'a> Forward<'a> {
             oh: out_dim(h, kh, stride, pad),
             ow: out_dim(w, kw, stride, pad),
         };
-        let ospatial = g.oh * g.ow;
-        let cols = match positions {
-            None => Columns::Map(ospatial),
-            Some(ps) => {
-                if let Some(&p) = ps.iter().find(|&&p| p >= ospatial) {
-                    panic!(
-                        "conv2d: output position {p} outside the {}×{} map",
-                        g.oh, g.ow
-                    );
-                }
-                Columns::At(ps)
-            }
-        };
         let k = c_in * kh * kw;
-        let ncols = cols.len();
+        let ncols = g.oh * g.ow;
         dcd_obs::counter!("conv.flops").add(2 * (n * c_out * k * ncols) as u64);
-        let route = if positions.is_none() && pick.forward(&g) {
+        let route = if pick.forward(&g) {
             Route::Direct(DirectForward::new(g, weight, bias, relu, n))
         } else {
             Route::Packed(Packed::new(weight, bias, relu, (n, c_out, k, ncols)))
         };
-        Forward {
-            g,
-            c_out,
-            cols,
-            route,
-        }
+        Forward { g, c_out, route }
     }
 
     /// Convolves every sample of `input` (one per pool thread at a time)
-    /// into a fresh `[N, C_out, columns]` buffer.
+    /// into a fresh `[N, C_out, OH, OW]` buffer.
     fn run(&self, input: &Tensor) -> Vec<f32> {
         let n = input.dims()[0];
         let mut out = vec![0.0f32; n * self.sample_out()];
@@ -507,26 +451,26 @@ impl<'a> Forward<'a> {
         self.g.c * self.g.h * self.g.w
     }
 
-    /// Floats per output sample `[C_out, columns]`.
+    /// Floats per output sample `[C_out, OH, OW]`.
     fn sample_out(&self) -> usize {
-        self.c_out * self.cols.len()
+        self.c_out * self.g.oh * self.g.ow
     }
 
-    /// Packs columns `cols` of the sample whose padded image is `xp` into
-    /// `slab` (a scratch buffer of at least `nc·k` floats, whatever it
-    /// holds) and sweeps the packed weights over it, writing every output
-    /// channel's `cols` through `c`.
+    /// Packs output positions `cols` of the sample whose padded image is
+    /// `xp` into `slab` (a scratch buffer of at least `nc·k` floats,
+    /// whatever it holds) and sweeps the packed weights over it, writing
+    /// every output channel's `cols` through `c`.
     fn slab(&self, p: &Packed, xp: &[f32], cols: Range<usize>, slab: &mut [f32], c: CRows) {
         let (nr, k) = (p.nr, p.k);
         let slab = &mut slab[..cols.len().div_ceil(nr) * nr * k];
         for (pj, panel) in slab.chunks_mut(nr * k).enumerate() {
             let c0 = cols.start + pj * nr;
-            pack_panel(xp, &self.g, self.cols, c0, nr.min(cols.end - c0), panel);
+            pack_panel(xp, &self.g, c0, nr.min(cols.end - c0), panel);
         }
         gemm_slab(&p.pw, slab, nr, c, cols, p.ep);
     }
 
-    /// Convolves one sample `x` into `o` (`[C_out, columns]`), writing
+    /// Convolves one sample `x` into `o` (`[C_out, OH, OW]`), writing
     /// every element, so `o` may hold stale data on entry.
     ///
     /// A split sample shares its slabs out between the pool in one
@@ -538,7 +482,7 @@ impl<'a> Forward<'a> {
             Route::Direct(d) => return d.sample(x, o),
         };
         let g = self.g;
-        let (ncols, nc) = (self.cols.len(), p.nc);
+        let (ncols, nc) = (g.oh * g.ow, p.nc);
         let mut xp = scratch::take_overwrite(g.c * (g.h + 2 * g.pad) * (g.w + 2 * g.pad));
         pad_into(x, &g, &mut xp);
         if p.split {
@@ -606,7 +550,7 @@ fn conv2d_fused(
     pick: Pick,
 ) -> Tensor {
     let _span = dcd_obs::span("conv2d", dcd_obs::Category::Conv);
-    let f = Forward::new(input, weight, bias, (stride, pad), relu, None, pick);
+    let f = Forward::new(input, weight, bias, (stride, pad), relu, pick);
     let n = input.dims()[0];
     let out = f.run(input);
     Tensor::from_vec([n, f.c_out, f.g.oh, f.g.ow], out).expect("conv2d output size")
@@ -627,38 +571,6 @@ pub fn conv2d_relu(
     pad: usize,
 ) -> Tensor {
     conv2d_fused(input, weight, bias, (stride, pad), true, Pick::Route)
-}
-
-/// [`conv2d_relu`] evaluated at the listed output positions only: element
-/// `(n, co, j)` of the `[N, C_out, positions.len()]` result is, bit for
-/// bit, element `(n, co, oy, ox)` of `conv2d_relu(input, weight, bias,
-/// stride, pad)` for `positions[j] = oy·OW + ox`.
-///
-/// Each listed position runs the same `mul_add` chain over the same taps
-/// as in the full convolution, and runs of consecutive positions along an
-/// output row pack like a full row, so a sparse set of positions — the
-/// border ring of a tile, say — is still one dense GEMM per sample. Panics
-/// on a position outside the output map.
-pub fn conv2d_relu_at(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    (stride, pad): (usize, usize),
-    positions: &[usize],
-) -> Tensor {
-    let _span = dcd_obs::span("conv2d", dcd_obs::Category::Conv);
-    let f = Forward::new(
-        input,
-        weight,
-        bias,
-        (stride, pad),
-        true,
-        Some(positions),
-        Pick::Route,
-    );
-    let n = input.dims()[0];
-    let out = f.run(input);
-    Tensor::from_vec([n, f.c_out, positions.len()], out).expect("conv2d_relu_at output size")
 }
 
 /// The 2×2/2 max pool [`conv2d_relu_pool`] applies.
@@ -706,7 +618,7 @@ fn conv_relu_pool(
     pick: Pick,
 ) -> (Tensor, Option<MaxIndices>) {
     let _span = dcd_obs::span("conv2d", dcd_obs::Category::Conv);
-    let f = Forward::new(input, weight, bias, (stride, pad), true, None, pick);
+    let f = Forward::new(input, weight, bias, (stride, pad), true, pick);
     let n = input.dims()[0];
     let (oh, ow) = (f.g.oh, f.g.ow);
     let (ph, pw) = (POOL_2X2.out_dim(oh), POOL_2X2.out_dim(ow));
@@ -1636,47 +1548,8 @@ mod tests {
                 assert_eq!(ix.indices, want_ix.indices, "{}", what("argmax"));
                 assert_eq!(ix.input_dims, want_ix.input_dims);
                 assert_eq!(ix.output_dims, want_ix.output_dims);
-                for (name, ps) in position_sets(oh, ow) {
-                    let got = on(sequential, || {
-                        conv2d_relu_at(&x, &w, &b, (stride, pad), &ps)
-                    });
-                    assert_eq!(got.dims(), &[batch, c_out, ps.len()]);
-                    let want: Vec<f32> = act
-                        .chunks(oh * ow)
-                        .flat_map(|plane| ps.iter().map(|&p| plane[p]))
-                        .collect();
-                    assert_bits(got.data(), &want, &what(&format!("conv2d_relu_at {name}")));
-                }
             }
         }
-    }
-
-    /// Output-position lists for [`conv2d_relu_at`]: the one-pixel border
-    /// ring row-major (runs broken at every row), every third position
-    /// backwards, and every position.
-    fn position_sets(oh: usize, ow: usize) -> Vec<(&'static str, Vec<usize>)> {
-        let ring = (0..oh * ow)
-            .filter(|p| {
-                let (y, x) = (p / ow, p % ow);
-                y == 0 || x == 0 || y + 1 == oh || x + 1 == ow
-            })
-            .collect();
-        vec![
-            ("ring", ring),
-            (
-                "every third, reversed",
-                (0..oh * ow).rev().step_by(3).collect(),
-            ),
-            ("all", (0..oh * ow).collect()),
-        ]
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the")]
-    fn conv2d_relu_at_rejects_positions_off_the_map() {
-        let x = Tensor::ones([1, 1, 4, 4]);
-        let (w, b) = (Tensor::ones([1, 1, 3, 3]), Tensor::zeros([1]));
-        conv2d_relu_at(&x, &w, &b, (1, 1), &[16]);
     }
 
     #[test]
@@ -1897,6 +1770,10 @@ mod tests {
             // Wider than the direct weight gradient: only the forward
             // differs between the routes.
             (8, (10, 12), 72, 3, 2),
+            // Narrow maps, valid outputs 2 and 3 wide: a ring's side
+            // strips, which route packed.
+            (8, (12, 4), 16, 3, 2),
+            (4, (10, 9), 12, 7, 3),
         ];
         // Same convolutions, and valid ones (pad 0) where the map allows.
         let padded = shapes

@@ -29,7 +29,8 @@
 //! its window scan and argmax; each weight-gradient element its chain over
 //! positions and each input-gradient element its sum over taps. The two
 //! paths agree bit for bit, and [`route`] picks between them on speed
-//! alone.
+//! alone: the forward sweep computes `wp − ow` dropped pixels per row, so
+//! maps only a few columns wide stay packed.
 
 use super::{Geom, POOL_2X2};
 use crate::gemm::{direct_gw_tile, direct_tile, max_pool2x2_x16, DirectWindow, TileOut, PAR_WORK};
@@ -44,11 +45,17 @@ pub(super) const MAX_C_OUT: usize = 64;
 /// Whether a forward convolution of geometry `g` runs the direct path:
 /// every stride-1 layer on AVX-512 builds, where its zmm tile beat the
 /// packed path on every shape measured, wide layers included (DESIGN.md,
-/// "Pack-free direct convolution"). Elsewhere the tile's 24 accumulators
-/// would need 48 ymm registers of the 16 there are, so the packed path's
-/// 6×16 tiles run.
+/// "Pack-free direct convolution"), but a map so narrow that half or more
+/// of each padded row is computed and dropped (`2·ow ≤ wp`). Such maps are
+/// a shared-trunk ring's side strips, two columns wide: on candidate 2's,
+/// 32 tiles at a time, direct took 1.5–1.8 ms at conv1 and 8.2–8.6 ms at
+/// conv2 against 0.9–1.1 and 6.6–6.7 ms packed. Without AVX-512 the tile's
+/// 24 accumulators would need 48 ymm registers of the 16 there are, so the
+/// packed path's 6×16 tiles run.
 pub(super) fn route(g: &Geom) -> bool {
-    cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) && g.stride == 1
+    cfg!(all(target_arch = "x86_64", target_feature = "avx512f"))
+        && g.stride == 1
+        && 2 * g.ow > g.w + 2 * g.pad
 }
 
 /// Whether a backward convolution into `c_out` channels, with its input

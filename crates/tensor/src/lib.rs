@@ -25,8 +25,8 @@ pub mod shape;
 pub mod tensor;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_at, conv2d_relu_pool,
-    conv2d_relu_pool_backward, conv2d_relu_pool_tracked, Conv2dGrads,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
+    conv2d_relu_pool_tracked, Conv2dGrads,
 };
 pub use gemm::{
     gemm, gemm_at, gemm_bias, gemm_bt, gemm_ep, gemm_packed, matmul, Epilogue, PackedLhs, Trans,

@@ -1,22 +1,22 @@
 //! Bitwise property suite for the stride-1 C–P convolutions that the
 //! pack-free direct routine runs on AVX-512 builds (its weight gradient up
-//! to 64 output channels; the packed routine runs the rest, and everything
-//! on other builds).
+//! to 64 output channels; the packed routine runs the rest, maps only a
+//! few columns wide, and everything on other builds).
 //!
 //! Every public entry point is checked, bit for bit, against the packed
-//! path's arithmetic: [`conv2d_relu_at`] over every output position (which
-//! always runs the packed routine), an im2col + one `mul_add` chain per
-//! element, `max_pool2d`'s window scan and argmax, and the unfused backward
-//! route (`max_pool2d_backward`, the ReLU mask, then `gemm_ep` over the
-//! im2col columns). The grid covers every `c_in` × `c_out` × kernel
-//! combination of the NAS space's shapes, same and valid (pad 0)
-//! convolutions, ragged maps and batches 1, 2 and 20, on the pool and
-//! forced sequential.
+//! path's arithmetic: an im2col + one `mul_add` chain per element,
+//! `max_pool2d`'s window scan and argmax, and the unfused backward route
+//! (`max_pool2d_backward`, the ReLU mask, then `gemm_ep` over the im2col
+//! columns). The grid covers every `c_in` × `c_out` × kernel combination
+//! of the NAS space's shapes, same and valid (pad 0) convolutions, ragged
+//! maps and batches 1, 2 and 20, on the pool and forced sequential; the
+//! forward also runs narrow valid maps on both sides of the direct route's
+//! width crossover.
 
 use dcd_tensor::{
-    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_at, conv2d_relu_pool,
-    conv2d_relu_pool_backward, conv2d_relu_pool_tracked, gemm_ep, max_pool2d, max_pool2d_backward,
-    Conv2dGrads, Epilogue, MaxIndices, SeededRng, Tensor, Trans,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
+    conv2d_relu_pool_tracked, gemm_ep, max_pool2d, max_pool2d_backward, Conv2dGrads, Epilogue,
+    MaxIndices, SeededRng, Tensor, Trans,
 };
 
 const C_IN: [usize; 5] = [1, 3, 4, 16, 32];
@@ -296,30 +296,45 @@ fn on<R>(sequential: bool, f: impl FnOnce() -> R) -> R {
     }
 }
 
+/// Narrow valid maps, as a ring's side strips: `ow + k − 1` columns wide
+/// for outputs 1, 2 and 3 wide. The direct route takes a map when `2·ow >
+/// w`, here a 3×3 kernel's 3-wide output; the 1- and 2-wide ones and every
+/// 5×5 and 7×7 one stay packed. An odd height pools with a dropped last row.
+fn narrow_cases() -> impl Iterator<Item = Case> {
+    [3, 5, 7].into_iter().flat_map(|kernel| {
+        [1, 2, 3].into_iter().flat_map(move |ow| {
+            [1, 2, 64].into_iter().map(move |batch| Case {
+                c_in: 4,
+                c_out: 12,
+                kernel,
+                pad: 0,
+                map: (9 + kernel - 1, ow + kernel - 1),
+                batch,
+            })
+        })
+    })
+}
+
 #[test]
 fn forward_matches_the_packed_arithmetic_bitwise() {
     // More threads than the small batches: their tiles are shared out.
     rayon::ensure_threads(4);
-    for (i, c) in cases().into_iter().enumerate() {
+    for (i, c) in cases().into_iter().chain(narrow_cases()).enumerate() {
         let d = c.data(i as u64);
         let pad = c.pad();
         let pre = forward_oracle(c, &d);
         let act = relu(&pre);
-        let (pooled, want_ix) = max_pool2d(&act, 2, 2);
-        let (oh, ow) = c.out();
-        let all: Vec<usize> = (0..oh * ow).collect();
-        let packed = conv2d_relu_at(&d.x, &d.w, &d.b, (1, pad), &all);
-        assert_bits(
-            packed.data(),
-            act.data(),
-            &format!("{} conv2d_relu_at", c.name()),
-        );
         for sequential in [false, true] {
             let what = |f: &str| format!("{} {f} sequential={sequential}", c.name());
             let got = on(sequential, || conv2d(&d.x, &d.w, &d.b, 1, pad));
             assert_bits(got.data(), pre.data(), &what("conv2d"));
             let got = on(sequential, || conv2d_relu(&d.x, &d.w, &d.b, 1, pad));
             assert_bits(got.data(), act.data(), &what("conv2d_relu"));
+            // A 1-wide output has no pooled column.
+            if c.out().1 < 2 {
+                continue;
+            }
+            let (pooled, want_ix) = max_pool2d(&act, 2, 2);
             let got = on(sequential, || conv2d_relu_pool(&d.x, &d.w, &d.b, 1, pad));
             assert_eq!(got.dims(), pooled.dims(), "{}", what("pooled dims"));
             assert_bits(got.data(), pooled.data(), &what("conv2d_relu_pool"));

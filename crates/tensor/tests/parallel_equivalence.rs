@@ -11,9 +11,9 @@
 
 use dcd_tensor::gemm::gemm_bias;
 use dcd_tensor::{
-    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_at, conv2d_relu_pool,
-    conv2d_relu_pool_backward, conv2d_relu_pool_tracked, gemm, gemm_at, gemm_bt, gemm_ep,
-    max_pool2d, max_pool2d_backward, Conv2dGrads, Epilogue, SeededRng, Tensor, Trans,
+    conv2d, conv2d_backward, conv2d_relu, conv2d_relu_pool, conv2d_relu_pool_backward,
+    conv2d_relu_pool_tracked, gemm, gemm_at, gemm_bt, gemm_ep, max_pool2d, max_pool2d_backward,
+    Conv2dGrads, Epilogue, SeededRng, Tensor, Trans,
 };
 
 fn pin_threads() {
@@ -213,8 +213,9 @@ fn lone_sample_conv_parallel_matches_sequential_bitwise() {
     pin_threads();
     // Batch 1 shares each sample's column slabs out between the pool:
     // candidate 2's three C–P shapes
-    // (conv1's 100×100 map cuts into two slabs of 7264 columns), a wide
-    // image whose slabs split mid-row, and the border ring of a tile.
+    // (conv1's 100×100 map cuts into two slabs of 7264 columns) and a wide
+    // image whose slabs split mid-row. Then a ring's side strips, whose
+    // two-column panels gather lane by lane.
     let mut rng = SeededRng::new(109);
     let shapes = [
         (4, 64, 3, (100, 100)),
@@ -241,13 +242,16 @@ fn lone_sample_conv_parallel_matches_sequential_bitwise() {
         let par_gx = max_pool2d_backward(&go, &par_ix);
         let seq_gx = max_pool2d_backward(&go, &seq_ix);
         assert_bits_eq(par_gx.data(), seq_gx.data(), &format!("argmax {what}"));
-        let ring: Vec<usize> = (0..h * w)
-            .filter(|p| p / w < 2 || p / w >= h - 2 || p % w < 2 || p % w >= w - 2)
-            .collect();
-        let par = conv2d_relu_at(&x, &wt, &b, (1, pad), &ring);
-        let seq = rayon::force_sequential(|| conv2d_relu_at(&x, &wt, &b, (1, pad), &ring));
-        assert_bits_eq(par.data(), seq.data(), &format!("conv2d_relu_at {what}"));
     }
+    // A 32-tile chunk's ring side strips at conv1: 64 windows two columns
+    // wide, grown by the pad, as one valid convolution.
+    let x = Tensor::randn([64, 4, 98, 4], 0.0, 1.0, &mut rng);
+    let wt = Tensor::randn([64, 4, 3, 3], 0.0, 0.1, &mut rng);
+    let b = Tensor::randn([64], 0.0, 0.1, &mut rng);
+    let par = conv2d_relu(&x, &wt, &b, 1, 0);
+    let seq = rayon::force_sequential(|| conv2d_relu(&x, &wt, &b, 1, 0));
+    assert_eq!(par.dims(), &[64, 64, 96, 2]);
+    assert_bits_eq(par.data(), seq.data(), "conv2d_relu side strips");
 }
 
 #[test]
